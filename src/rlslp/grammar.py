@@ -107,12 +107,6 @@ class SymbolTable:
         self._powers[(b, m)] = sid
         return sid
 
-    def find_terminal(self, cp: int) -> int:
-        sid = self._terminals.get(cp)
-        if sid is None:
-            raise UnknownSymbolError(f"no terminal for codepoint {cp}")
-        return sid
-
     def find_pair(self, b: int, c: int) -> int:
         sid = self._pairs.get((b, c))
         if sid is None:

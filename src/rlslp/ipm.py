@@ -30,7 +30,7 @@ from .errors import (
 )
 from .grammar import POWER, Grammar
 from .lce import lce, rev_lce
-from .navigator import Navigator, UNode
+from .navigator import Navigator, leaf, step, up
 from .popped import PoppedSeq, Run, pseq
 
 # Bound on materializing positions while merging progressions whose shapes
@@ -250,54 +250,47 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     level = pp.level
     m = y + (y2 - y) // 2
 
-    un = UNode(nav.leaf(m), 0)
-    m_node = un.node  # proxy-level ancestor of T[m]
-    while un.level < level + 1:
-        un = nav.u_parent(un)
-        if un.level == level:
-            m_node = un.node
+    v = leaf(nav, m)
+    m_node = v  # proxy-level ancestor of T[m]
+    for k in range(level + 1):
+        v = up(nav, v, k)
+        if k + 1 == level:
+            m_node = v
 
+    # the block of T[m] at level+1 and up to `radius` blocks to either side
     radius = 2 * level + 2
-    blocks = [un]
-    cur = un
-    for _ in range(radius):
-        prv = nav.u_prev(cur)
-        if prv is None:
-            break
-        blocks.append(prv)
-        cur = prv
-    blocks.reverse()
-    cur = un
-    for _ in range(radius):
-        nxt = nav.u_next(cur)
-        if nxt is None:
-            break
-        blocks.append(nxt)
-        cur = nxt
+    blocks = [v]
+    for forward in (False, True):
+        cur = v
+        for _ in range(radius):
+            cur = step(nav, cur, level + 1, forward)
+            if cur is None:
+                break
+            blocks.append(cur)
+        if not forward:
+            blocks.reverse()
 
     # expand the window one level down, keeping text positions per run
     seq: list[tuple[int, int, int]] = []  # (sym, exponent, text start)
-    for blk in blocks:
-        nd = blk.node
-        s = nd.sym
+    for pos, s, _ in blocks:
         if t.level[s] == level + 1:
             if t.kind[s] == POWER:
-                seq.append((t.arg0[s], t.arg1[s], nd.pos))
+                seq.append((t.arg0[s], t.arg1[s], pos))
             else:
                 b, c = t.arg0[s], t.arg1[s]
-                seq.append((b, 1, nd.pos))
-                seq.append((c, 1, nd.pos + t.explen[b]))
+                seq.append((b, 1, pos))
+                seq.append((c, 1, pos + t.explen[b]))
         else:
-            seq.append((s, 1, nd.pos))
+            seq.append((s, 1, pos))
 
     # symbol index of the middle position's proxy-level ancestor
     m_idx = None
     base = 0
     for sym, e, start in seq:
         w = t.explen[sym]
-        if start <= m_node.pos < start + e * w:
-            off = m_node.pos - start
-            assert off % w == 0 and sym == m_node.sym
+        if start <= m_node[0] < start + e * w:
+            off = m_node[0] - start
+            assert off % w == 0 and sym == m_node[1]
             m_idx = base + off // w
             break
         base += e

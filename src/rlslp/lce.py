@@ -3,139 +3,60 @@
 A query starts from the highest nodes whose fragments begin at the two
 positions and repeatedly either descends into the wider node, advances
 both nodes past a shared symbol, or jumps over a shared sibling run.  The
-reverse query runs the same engine on a mirrored view of the grammar
-(children visited right to left, positions counted from the end); the
-grammar itself is never reversed.
-
-The engine reads the symbol arrays directly and tracks its own step count,
-which it adds to the navigator afterwards; this path is hot enough that
-per-operation method dispatch would dominate the runtime.
+reverse query runs the same walk backward, from the highest nodes whose
+fragments end at the two positions.
 """
 
 from __future__ import annotations
 
 from .errors import OutOfRangeError
-from .grammar import PAIR, Grammar
-from .navigator import Navigator
+from .grammar import Grammar
+from .navigator import Navigator, ahead, climb, first_child, highest, jump
 
 
-def _extension(g: Grammar, i: int, i2: int, rev: bool, nav: Navigator | None) -> int:
+def _extension(g: Grammar, i: int, i2: int, forward: bool, nav: Navigator | None) -> int:
     n = g.text_len
     if not (0 <= i <= n and 0 <= i2 <= n):
         raise OutOfRangeError(f"positions ({i}, {i2}) outside [0, {n}]")
-    if i == n or i2 == n:
+    end = n if forward else 0
+    if i == end or i2 == end:
         return 0
-    t = g.table
-    kind = t.kind
-    a0 = t.arg0
-    a1 = t.arg1
-    ln = t.explen
-    steps = 0
-
-    # Node handles are (pos, sym, parent) triples in *oriented* coordinates:
-    # for the mirrored view, pos counts from the end of the text and pair
-    # children swap order, which is the only place orientation shows up.
-    def descend(p):
-        nonlocal steps
-        node = (0, g.start, None)
-        while node[0] < p:
-            pos, s, _ = node
-            if kind[s] == PAIR:
-                b, c = (a0[s], a1[s]) if not rev else (a1[s], a0[s])
-                mid = pos + ln[b]
-                node = (pos, b, node) if p < mid else (mid, c, node)
-            else:  # POWER (a terminal cannot strictly contain p)
-                b = a0[s]
-                w = ln[b]
-                idx = (p - pos) // w
-                node = (pos + idx * w, b, node)
-            steps += 2
-        return node
-
-    def right_count(node):
-        # number of siblings after node in oriented order; 0 at the root
-        nonlocal steps
-        par = node[2]
-        if par is None:
-            return 0
-        steps += 1
-        ps = par[1]
-        if kind[ps] == PAIR:
-            return 1 if node[0] == par[0] else 0
-        w = ln[a0[ps]]
-        return a1[ps] - 1 - (node[0] - par[0]) // w
-
-    def jump(node, d):
-        # d-th next sibling; caller guarantees it exists
-        nonlocal steps
-        steps += 1
-        par = node[2]
-        ps = par[1]
-        if kind[ps] == PAIR:
-            b, c = (a0[ps], a1[ps]) if not rev else (a1[ps], a0[ps])
-            return (par[0] + ln[b], c, par)
-        return (node[0] + d * ln[node[1]], node[1], par)
-
-    def next_highest(node):
-        # highest node whose fragment starts right after node's fragment
-        nonlocal steps
-        while True:
-            par = node[2]
-            if par is None:
-                return None
-            if right_count(node) >= 1:
-                return jump(node, 1)
-            node = par
-            steps += 1
-
-    def child0(node):
-        nonlocal steps
-        steps += 1
-        s = node[1]
-        if kind[s] == PAIR:
-            b = a0[s] if not rev else a1[s]
-        else:
-            b = a0[s]
-        return (node[0], b, node)
-
-    v = descend(i)
-    v2 = descend(i2)
+    if nav is None:
+        nav = Navigator(g)
+    ln = g.table.explen
+    v = highest(nav, i, forward)
+    v2 = highest(nav, i2, forward)
     total = 0
     while v is not None and v2 is not None:
         s = v[1]
         s2 = v2[1]
         if s == s2:
-            d = min(right_count(v), right_count(v2))
+            d = min(ahead(nav, v, forward), ahead(nav, v2, forward))
             if d >= 1:
                 total += d * ln[s]
-                v = jump(v, d)
-                v2 = jump(v2, d)
+                v = jump(nav, v, d, forward)
+                v2 = jump(nav, v2, d, forward)
             else:
                 total += ln[s]
-                v = next_highest(v)
-                v2 = next_highest(v2)
+                v = climb(nav, v, forward)
+                v2 = climb(nav, v2, forward)
         else:
             l1 = ln[s]
             l2 = ln[s2]
             if l1 == 1 and l2 == 1:
                 break
             if l1 >= l2:
-                v = child0(v)
+                v = first_child(nav, v, forward)
             if l2 >= l1:
-                v2 = child0(v2)
-    if nav is not None:
-        nav.steps += steps
+                v2 = first_child(nav, v2, forward)
     return total
 
 
 def lce(g: Grammar, i: int, i2: int, nav: Navigator | None = None) -> int:
     """Length of the longest common prefix of T[i..] and T[i2..]."""
-    return _extension(g, i, i2, False, nav)
+    return _extension(g, i, i2, True, nav)
 
 
 def rev_lce(g: Grammar, i: int, i2: int, nav: Navigator | None = None) -> int:
     """Length of the longest common suffix of T[..i) and T[..i2)."""
-    n = g.text_len
-    if not (0 <= i <= n and 0 <= i2 <= n):
-        raise OutOfRangeError(f"positions ({i}, {i2}) outside [0, {n}]")
-    return _extension(g, n - i, n - i2, True, nav)
+    return _extension(g, i, i2, False, nav)

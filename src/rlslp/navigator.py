@@ -1,58 +1,36 @@
-"""Pointer navigation over the implicit parse tree.
+"""Cursor navigation over the implicit parse tree.
 
-The parse tree is never materialized.  A node handle stores its text
-position, its symbol, and a shared immutable reference to its parent
-handle, so a handle doubles as a persistent stack of ancestors: two
-descents from one node share the ancestor chain and never interfere.
+The parse tree is never materialized.  A cursor is an immutable tuple
+``(pos, sym, parent)``: the text position where the node's fragment
+starts, its symbol, and the parent's cursor (None at the root).  A cursor
+is thereby a persistent stack of its ancestors: two walks from one node
+share the ancestor chain and never interfere.
 
-The uncompressed view subdivides edges so that each character of each
-level string is a distinct node, addressed as (handle, level).  Chains of
-forward moves (u_next with u_parent/u_child) cost O(r + chain length)
-overall; mixing u_prev and u_next in one chain voids that bound.
+The uncompressed parse tree subdivides edges so that each character of
+each level string is a node of its own.  Such a node is a cursor plus the
+level ``k``, carried beside it as an int: the cursor of the parse-tree node
+whose symbol was created at or below round k and whose parent's was
+created above it.  ``up`` and ``step`` move in that view.
 
-Every primitive operation bumps the navigator's step counter, which the
-complexity tests read back per query.
+Moves take ``forward``: True walks towards the end of the text, False
+towards its start.  Positions are always plain text positions.
+
+Every move charges steps to the ``Navigator`` it is given: a descent or a
+climb two per level, ``up``, ``ahead``, ``jump`` and ``first_child`` one
+each.  The complexity tests read the counter back per query.  Chains of
+``up`` and ``step`` in one direction cost O(r + chain length) overall.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OutOfRangeError
-from .grammar import PAIR, POWER, TERMINAL, Grammar
+from .grammar import PAIR, Grammar
 
-
-class Node:
-    """Handle to a parse-tree node: (pos, sym, parent reference)."""
-
-    __slots__ = ("pos", "sym", "parent")
-
-    def __init__(self, pos: int, sym: int, parent: "Node | None" = None):
-        self.pos = pos
-        self.sym = sym
-        self.parent = parent
-
-    # Handle equality is (pos, sym): with a fixed grammar those two values
-    # determine the tree node.
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Node) and self.pos == other.pos and self.sym == other.sym
-
-    def __hash__(self) -> int:
-        return hash((self.pos, self.sym))
-
-    def __repr__(self) -> str:
-        return f"Node(pos={self.pos}, sym={self.sym})"
-
-
-@dataclass(frozen=True)
-class UNode:
-    """Node of the uncompressed parse tree: a parse-tree handle plus a level."""
-    node: Node
-    level: int
+Cursor = tuple  # (pos, sym, parent cursor or None)
 
 
 class Navigator:
-    """Stateless navigation methods over one grammar, plus a step counter."""
+    """The grammar walked by the cursor moves, and their step counter."""
 
     __slots__ = ("g", "t", "steps")
 
@@ -61,123 +39,113 @@ class Navigator:
         self.t = g.table
         self.steps = 0
 
-    def root(self) -> Node:
-        return Node(0, self.g.start, None)
 
-    def arity(self, node: Node) -> int:
-        t = self.t
-        k = t.kind[node.sym]
-        if k == TERMINAL:
-            return 0
-        if k == PAIR:
-            return 2
-        return t.arg1[node.sym]
+def _descend(nav: Navigator, j: int, lo: int, hi: int) -> Cursor:
+    """Highest cursor on the path to text position ``j`` whose fragment lies
+    inside [lo, hi)."""
+    t = nav.t
+    kind, a0, a1, ln = t.kind, t.arg0, t.arg1, t.explen
+    s = nav.g.start
+    pos = 0
+    v = (0, s, None)
+    while pos < lo or pos + ln[s] > hi:
+        b = a0[s]
+        if kind[s] == PAIR:
+            if j >= pos + ln[b]:
+                pos += ln[b]
+                b = a1[s]
+        else:  # POWER (a terminal is never wider than [lo, hi))
+            pos += (j - pos) // ln[b] * ln[b]
+        v = (pos, b, v)
+        s = b
+        nav.steps += 2
+    return v
 
-    def child(self, node: Node, i: int) -> Node | None:
-        """The i-th child, or None when out of bounds or at a leaf."""
-        self.steps += 1
-        t = self.t
-        s = node.sym
-        k = t.kind[s]
-        if k == PAIR:
-            if i == 0:
-                return Node(node.pos, t.arg0[s], node)
-            if i == 1:
-                return Node(node.pos + t.explen[t.arg0[s]], t.arg1[s], node)
-            return None
-        if k == POWER:
-            if 0 <= i < t.arg1[s]:
-                b = t.arg0[s]
-                return Node(node.pos + i * t.explen[b], b, node)
-            return None
-        return None
 
-    def index_of(self, node: Node, j: int) -> int:
-        """Index of the unique child whose fragment contains text position ``j``."""
-        self.steps += 1
-        t = self.t
-        s = node.sym
-        if not (node.pos <= j < node.pos + t.explen[s]):
-            raise OutOfRangeError(
-                f"position {j} outside node fragment "
-                f"[{node.pos}, {node.pos + t.explen[s]})")
-        k = t.kind[s]
-        if k == PAIR:
-            return 0 if j < node.pos + t.explen[t.arg0[s]] else 1
-        if k == POWER:
-            return (j - node.pos) // t.explen[t.arg0[s]]
-        raise OutOfRangeError("terminal node has no children")
+def leaf(nav: Navigator, j: int) -> Cursor:
+    """Terminal cursor at text position ``j``, with its full ancestor chain."""
+    n = nav.g.text_len
+    if not (0 <= j < n):
+        raise OutOfRangeError(f"position {j} outside [0, {n})")
+    return _descend(nav, j, j, j + 1)
 
-    def sibling(self, node: Node, d: int) -> Node | None:
-        """The d-th sibling (d may be negative); None if out of bounds or at the root."""
-        p = node.parent
-        if p is None:
-            return None
-        return self.child(p, d + self.index_of(p, node.pos))
 
-    def leaf(self, j: int) -> Node:
-        """Terminal node covering text position ``j``, with full ancestor stack."""
-        if not (0 <= j < self.g.text_len):
-            raise OutOfRangeError(f"position {j} outside [0, {self.g.text_len})")
-        t = self.t
-        node = self.root()
-        while t.explen[node.sym] > 1:
-            node = self.child(node, self.index_of(node, j))
-        return node
+def highest(nav: Navigator, i: int, forward: bool) -> Cursor:
+    """Highest cursor whose fragment starts at ``i`` (forward) or ends at
+    ``i`` (backward); needs i < n forward and i > 0 backward."""
+    if forward:
+        return _descend(nav, i, i, nav.g.text_len)
+    return _descend(nav, i - 1, 0, i)
 
-    # -- uncompressed parse tree -------------------------------------------
 
-    def u_parent(self, un: UNode) -> UNode:
-        """Level k+1 node above ``un``; stays on the same parse node when the
-        edge is subdivided (the parent symbol was created above level k+1)."""
-        self.steps += 1
-        node, k = un.node, un.level
-        p = node.parent
-        if p is not None and self.t.level[p.sym] == k + 1:
-            return UNode(p, k + 1)
-        return UNode(node, k + 1)
+def ahead(nav: Navigator, v: Cursor, forward: bool) -> int:
+    """Number of siblings of ``v`` in the direction of travel; 0 at the root."""
+    par = v[2]
+    if par is None:
+        return 0
+    nav.steps += 1
+    t = nav.t
+    ps = par[1]
+    if t.kind[ps] == PAIR:
+        return 1 if (v[0] == par[0]) == forward else 0
+    idx = (v[0] - par[0]) // t.explen[v[1]]
+    return t.arg1[ps] - 1 - idx if forward else idx
 
-    def u_child(self, un: UNode, i: int) -> UNode | None:
-        node, k = un.node, un.level
-        lv = self.t.level[node.sym]
-        if k > lv:
-            self.steps += 1
-            return UNode(node, k - 1) if i == 0 else None
-        if k == lv and k > 0:
-            c = self.child(node, i)
-            return UNode(c, k - 1) if c is not None else None
-        self.steps += 1
-        return None
 
-    def _u_step(self, un: UNode, forward: bool) -> UNode | None:
-        t = self.t
-        k = un.level
-        node = un.node
-        # climb until a sibling in the move direction exists
-        while True:
-            p = node.parent
-            if p is None:
-                return None
-            idx = self.index_of(p, node.pos)
-            if forward:
-                if idx + 1 < self.arity(p):
-                    node = self.child(p, idx + 1)
-                    break
-            else:
-                if idx > 0:
-                    node = self.child(p, idx - 1)
-                    break
-            node = p
-            self.steps += 1
-        # descend along the first/last child until the symbol lives at level <= k
-        while t.level[node.sym] > k:
-            node = self.child(node, 0 if forward else self.arity(node) - 1)
-        return UNode(node, k)
+def jump(nav: Navigator, v: Cursor, d: int, forward: bool) -> Cursor:
+    """The ``d``-th sibling of ``v`` in the direction of travel; it must exist."""
+    nav.steps += 1
+    t = nav.t
+    par = v[2]
+    ps = par[1]
+    if t.kind[ps] == PAIR:  # d == 1: the other child
+        b = t.arg0[ps]
+        return (par[0] + t.explen[b], t.arg1[ps], par) if forward else (par[0], b, par)
+    w = d * t.explen[v[1]]
+    return (v[0] + w if forward else v[0] - w, v[1], par)
 
-    def u_next(self, un: UNode) -> UNode | None:
-        """Node representing the next character of the same level string."""
-        return self._u_step(un, True)
 
-    def u_prev(self, un: UNode) -> UNode | None:
-        """Node representing the previous character of the same level string."""
-        return self._u_step(un, False)
+def first_child(nav: Navigator, v: Cursor, forward: bool) -> Cursor:
+    """First child of ``v`` in the direction of travel (the last child backward)."""
+    nav.steps += 1
+    t = nav.t
+    pos, s, _ = v
+    b = t.arg0[s]
+    if forward:
+        return (pos, b, v)
+    if t.kind[s] == PAIR:
+        return (pos + t.explen[b], t.arg1[s], v)
+    return (pos + t.explen[s] - t.explen[b], b, v)
+
+
+def climb(nav: Navigator, v: Cursor, forward: bool) -> Cursor | None:
+    """Highest cursor whose fragment starts right after ``v``'s (forward) or
+    ends right before it (backward); None at the end of the text."""
+    while v[2] is not None:
+        if ahead(nav, v, forward):
+            return jump(nav, v, 1, forward)
+        v = v[2]
+        nav.steps += 1
+    return None
+
+
+def up(nav: Navigator, v: Cursor, k: int) -> Cursor:
+    """Level-(k+1) node above the level-k node ``v``: its parent, or ``v``
+    itself when the edge is subdivided (the parent symbol was created above
+    round k+1)."""
+    nav.steps += 1
+    par = v[2]
+    if par is not None and nav.t.level[par[1]] == k + 1:
+        return par
+    return v
+
+
+def step(nav: Navigator, v: Cursor, k: int, forward: bool) -> Cursor | None:
+    """Next (forward) or previous (backward) character of level string ``k``
+    after the level-k node ``v``; None past the end of the string."""
+    v = climb(nav, v, forward)
+    if v is not None:
+        level = nav.t.level
+        while level[v[1]] > k:
+            v = first_child(nav, v, forward)
+    return v

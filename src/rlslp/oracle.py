@@ -35,6 +35,14 @@ def naive_occ(text: str, x: int, x2: int, y: int, y2: int) -> list[int]:
     return [p for p in range(y, y2 - m + 1) if text[p:p + m] == pat]
 
 
+def naive_rle_match(pattern, seq) -> list[int]:
+    """All symbol offsets where the run-length encoded ``pattern`` occurs in
+    ``seq``, by sliding over both decoded symbol strings."""
+    p = [sym for sym, e in pattern for _ in range(e)]
+    s = [sym for sym, e in seq for _ in range(e)]
+    return [i for i in range(len(s) - len(p) + 1) if s[i:i + len(p)] == p]
+
+
 def naive_lce(text: str, i: int, i2: int) -> int:
     n = len(text)
     if not (0 <= i <= n and 0 <= i2 <= n):

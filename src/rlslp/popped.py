@@ -6,7 +6,7 @@ Each popped block is a power of a single symbol, so the whole
 decomposition is run-length encoded, and concatenating the expansions of
 L_0..L_q, R_q..R_0 reconstitutes X.  The computation walks the two
 boundary nodes of the fragment's induced occurrence level by level, in
-O(r) node operations, without materializing any level string.
+O(r) cursor moves, without materializing any level string.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import EmptyFragmentError, OutOfRangeError
 from .grammar import PAIR, Grammar
-from .navigator import Navigator, UNode
+from .navigator import Navigator, ahead, leaf, step, up
 
 
 class Run(NamedTuple):
@@ -31,17 +31,13 @@ class PoppedSeq:
 
     ``left[k]``/``right[k]`` hold L_k/R_k as single runs (None when empty).
     ``left_exp[k]`` is the expansion length of L_0..L_{k-1}; ``right_exp[k]``
-    that of R_{k-1}..R_0 (both indexed 0..q+1).  ``left_nodes[k]`` and
-    ``right_nodes[k]`` are the boundary nodes of the induced occurrence of
-    the shrunken fragment at level k, kept for the query layer.
+    that of R_{k-1}..R_0 (both indexed 0..q+1).
     """
     left: list[Run | None]
     right: list[Run | None]
     q: int
     left_exp: list[int]
     right_exp: list[int]
-    left_nodes: list[UNode]
-    right_nodes: list[UNode]
 
     def runs(self) -> list[Run]:
         """The run-length encoding of L_0..L_q, R_q..R_0 (no merging needed
@@ -54,9 +50,8 @@ class PoppedSeq:
 def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> PoppedSeq:
     """Popped sequence of the fragment T[x_start, x_end) in O(r) node steps.
 
-    The left boundary walk uses only u_parent/u_next and the right walk
-    only u_parent/u_prev, so each stays within the amortized traversal
-    contract.
+    The left boundary only walks forward and the right boundary only
+    backward, so each walk is one chain of ``up`` and ``step`` moves.
     """
     if not (0 <= x_start and x_end <= g.text_len):
         raise OutOfRangeError(f"fragment [{x_start}, {x_end}) outside [0, {g.text_len})")
@@ -64,39 +59,36 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
         raise EmptyFragmentError("popped sequence of an empty fragment")
     if nav is None:
         nav = Navigator(g)
-    t = g.table
-    lo = UNode(nav.leaf(x_start), 0)
-    hi = UNode(nav.leaf(x_end - 1), 0)
+    kind = g.table.kind
+    explen = g.table.explen
+    lo = leaf(nav, x_start)
+    hi = leaf(nav, x_end - 1)
 
     left: list[Run | None] = []
     right: list[Run | None] = []
     left_exp = [0]
     right_exp = [0]
-    left_nodes = [lo]
-    right_nodes = [hi]
     k = 0
     while True:
-        lo_p = nav.u_parent(lo)
-        hi_p = nav.u_parent(hi)
-        single = lo.node.pos == hi.node.pos  # the level-k string is one symbol
-        lo_climbed = lo_p.node is not lo.node
-        hi_climbed = hi_p.node is not hi.node
+        # lo and hi are the boundary nodes of the shrunken fragment at level k
+        lo_p = up(nav, lo, k)
+        hi_p = up(nav, hi, k)
+        single = lo[0] == hi[0]  # the level-k string is one symbol
+        lo_climbed = lo_p is not lo
+        hi_climbed = hi_p is not hi
         # L_k is empty iff the leftmost block is a two-distinct-symbol pair
         # with lo as its left child, and the level-k string is longer than one symbol.
-        l_empty = (lo_climbed and t.kind[lo_p.node.sym] == PAIR
-                   and not single and lo.node.pos == lo_p.node.pos)
-        parents_same = lo_p.node.pos == hi_p.node.pos
+        l_empty = (lo_climbed and kind[lo_p[1]] == PAIR
+                   and not single and lo[0] == lo_p[0])
+        parents_same = lo_p[0] == hi_p[0]
 
         if not l_empty and parents_same:
             # the whole level-k string is a single block that is not a
             # two-distinct pair: pop it all on the left and stop
-            if lo_climbed:
-                e = nav.index_of(lo_p.node, hi.node.pos) - nav.index_of(lo_p.node, lo.node.pos) + 1
-            else:
-                e = 1
-            left.append(Run(lo.node.sym, e))
+            e = ahead(nav, hi, False) - ahead(nav, lo, False) + 1 if lo_climbed else 1
+            left.append(Run(lo[1], e))
             right.append(None)
-            left_exp.append(left_exp[-1] + e * t.explen[lo.node.sym])
+            left_exp.append(left_exp[-1] + e * explen[lo[1]])
             right_exp.append(right_exp[-1])
             q = k
             break
@@ -105,44 +97,34 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
             l_run = None
             lo_next = lo_p
         else:
-            if lo_climbed:
-                e = nav.arity(lo_p.node) - nav.index_of(lo_p.node, lo.node.pos)
-            else:
-                e = 1
-            l_run = Run(lo.node.sym, e)
-            lo_next = nav.u_next(lo_p)
+            e = ahead(nav, lo, True) + 1 if lo_climbed else 1
+            l_run = Run(lo[1], e)
+            lo_next = step(nav, lo_p, k + 1, True)
 
-        r_empty = (hi_climbed and t.kind[hi_p.node.sym] == PAIR
-                   and hi.node.pos != hi_p.node.pos)
+        r_empty = hi_climbed and kind[hi_p[1]] == PAIR and hi[0] != hi_p[0]
         if r_empty:
             r_run = None
             hi_next = hi_p
         else:
-            if hi_climbed:
-                e = nav.index_of(hi_p.node, hi.node.pos) + 1
-            else:
-                e = 1
-            r_run = Run(hi.node.sym, e)
-            hi_next = nav.u_prev(hi_p)
+            e = ahead(nav, hi, False) + 1 if hi_climbed else 1
+            r_run = Run(hi[1], e)
+            hi_next = step(nav, hi_p, k + 1, False)
 
         left.append(l_run)
         right.append(r_run)
-        left_exp.append(left_exp[-1] + (l_run.exponent * t.explen[l_run.sym] if l_run else 0))
-        right_exp.append(right_exp[-1] + (r_run.exponent * t.explen[r_run.sym] if r_run else 0))
+        left_exp.append(left_exp[-1] + (l_run.exponent * explen[l_run.sym] if l_run else 0))
+        right_exp.append(right_exp[-1] + (r_run.exponent * explen[r_run.sym] if r_run else 0))
 
         if l_run is not None and r_run is not None and (
-                lo_next is None or lo_next.node.pos == hi_p.node.pos):
+                lo_next is None or lo_next[0] == hi_p[0]):
             # both boundary blocks popped and they were adjacent: nothing remains
             q = k
             break
 
         assert lo_next is not None and hi_next is not None
         lo, hi = lo_next, hi_next
-        left_nodes.append(lo)
-        right_nodes.append(hi)
         k += 1
         assert k <= g.rounds + 1, "popped sequence exceeded the round count"
 
     assert left_exp[-1] + right_exp[-1] == x_end - x_start
-    return PoppedSeq(left=left, right=right, q=q, left_exp=left_exp,
-                     right_exp=right_exp, left_nodes=left_nodes, right_nodes=right_nodes)
+    return PoppedSeq(left=left, right=right, q=q, left_exp=left_exp, right_exp=right_exp)

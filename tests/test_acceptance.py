@@ -13,7 +13,8 @@ from rlslp.cli import load_index, save_index
 from rlslp.ipm import ipm_query, rle_match
 from rlslp.lce import lce, rev_lce
 from rlslp.navigator import Navigator
-from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce
+from rlslp.oracle import (naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce,
+                          naive_rle_match)
 from rlslp.popped import Run, pseq
 
 ALPHABETS = (1, 2, 4, 26)
@@ -121,16 +122,14 @@ def test_criterion_4_rle_matching_bounds():
         pruns = rand_runs(5, 3, 6)
         sruns = rand_runs(16, 3, 6)
         progs = rle_match(pruns, sruns)
-        pflat = [s for s, e in pruns for _ in range(e)]
-        sflat = [s for s, e in sruns for _ in range(e)]
-        want = [i for i in range(len(sflat) - len(pflat) + 1)
-                if sflat[i:i + len(pflat)] == pflat]
+        want = naive_rle_match(pruns, sruns)
         got = sorted(p for prog in progs for p in prog.positions())
         assert got == want, (pruns, sruns, got, want)
+        plen = sum(e for _, e in pruns)
+        slen = sum(e for _, e in sruns)
         if progs:
-            assert len(progs) <= min(len(sruns), len(sflat) // len(pflat)), \
-                (pruns, sruns, progs)
-        assert all(p.diff <= len(pflat) for p in progs)
+            assert len(progs) <= min(len(sruns), slen // plen), (pruns, sruns, progs)
+        assert all(p.diff <= plen for p in progs)
     _report(4, "RLE-matching occurrence sets and bounds", True,
             f"10000 pairs, {time.time() - t0:.1f}s")
 

@@ -2,84 +2,119 @@ import random
 
 import pytest
 
-from rlslp.builder import build, level_string
+from rlslp import Navigator, build, ipm_query, lce, pseq, rev_lce
+from rlslp.builder import level_string
 from rlslp.errors import OutOfRangeError
-from rlslp.grammar import PAIR, POWER
-from rlslp.navigator import Navigator, Node, UNode
+from rlslp.grammar import PAIR, POWER, TERMINAL
+from rlslp.navigator import ahead, climb, first_child, highest, jump, leaf, step, up
 
-from helpers import text_corpus
+from helpers import random_ipm_pair, text_corpus
+
+
+def _children(nav, v):
+    """Children of ``v`` left to right, by first_child and jump."""
+    c = first_child(nav, v, True)
+    out = [c]
+    while ahead(nav, c, True):
+        c = jump(nav, c, 1, True)
+        out.append(c)
+    return out
+
+
+def _at_level(nav, j, k):
+    """The level-k node above text position j."""
+    v = leaf(nav, j)
+    for lv in range(k):
+        v = up(nav, v, lv)
+    return v
 
 
 def test_root_handle():
-    g = build("a", 0)
+    g = build("abcd", 0)
     nav = Navigator(g)
-    r = nav.root()
-    assert r.pos == 0 and r.sym == g.start and r.parent is None
-    g2 = build("abcd", 0)
-    assert g2.table.explen[Navigator(g2).root().sym] == 4
+    # the whole text starts at 0 and ends at n: both edges give the root
+    assert highest(nav, 0, True) == (0, g.start, None)
+    assert highest(nav, g.text_len, False) == (0, g.start, None)
+    assert g.table.explen[g.start] == 4
+
+
+def test_highest_starts_and_ends_at_position():
+    for text, seed in text_corpus(12, 64, seed=17):
+        g = build(text, seed)
+        nav = Navigator(g)
+        ln = g.table.explen
+        for i in range(g.text_len):
+            v = highest(nav, i, True)
+            assert v[0] == i
+            assert v[2] is None or v[2][0] < i
+            w = highest(nav, i + 1, False)
+            assert w[0] + ln[w[1]] == i + 1
+            assert w[2] is None or w[2][0] + ln[w[2][1]] > i + 1
 
 
 def test_child_of_power_and_leaf():
     g = build("baaab", 0)
     nav = Navigator(g)
-    # find a power node for 'aaa' by descending to position 1
-    node = nav.root()
-    while g.table.kind[node.sym] != POWER:
-        node = nav.child(node, nav.index_of(node, 1))
-    c = nav.child(node, 2)
-    assert c.pos == node.pos + 2 * g.table.explen[g.table.arg0[node.sym]]
-    leaf = nav.leaf(0)
-    assert nav.child(leaf, 0) is None
+    t = g.table
+    # the power node for 'aaa' is the highest node starting at position 1
+    node = highest(nav, 1, True)
+    while t.kind[node[1]] != POWER:
+        node = first_child(nav, node, True)
+    w = t.explen[t.arg0[node[1]]]
+    assert jump(nav, first_child(nav, node, True), 2, True)[0] == node[0] + 2 * w
+    last = first_child(nav, node, False)
+    assert last[0] == node[0] + 2 * w and ahead(nav, last, True) == 0
+    assert jump(nav, last, 2, False)[0] == node[0]
+    assert t.kind[leaf(nav, 0)[1]] == TERMINAL
 
 
 def test_child_prefix_sums():
     for text, seed in text_corpus(16, 64, seed=19):
         g = build(text, seed)
         nav = Navigator(g)
-        stack = [nav.root()]
+        t = g.table
+        stack = [(0, g.start, None)]
         while stack:
             node = stack.pop()
-            a = nav.arity(node)
-            expect = node.pos
-            for i in range(a):
-                c = nav.child(node, i)
-                assert c.pos == expect
-                expect += g.table.explen[c.sym]
-                if g.table.kind[c.sym] != 0:
+            kids = _children(nav, node)
+            assert len(kids) == (2 if t.kind[node[1]] == PAIR else t.arg1[node[1]])
+            expect = node[0]
+            for i, c in enumerate(kids):
+                assert c[0] == expect and c[2] is node
+                assert ahead(nav, c, False) == i
+                assert ahead(nav, c, True) == len(kids) - 1 - i
+                expect += t.explen[c[1]]
+                if t.kind[c[1]] != TERMINAL:
                     stack.append(c)
-            if a:
-                assert expect == node.pos + g.table.explen[node.sym]
-            assert nav.child(node, a) is None
-            assert nav.child(node, -1) is None
+            assert expect == node[0] + t.explen[node[1]]
+            assert first_child(nav, node, False) == kids[-1]
 
 
 def test_index_of():
     g = build("aaaab", 0)
     nav = Navigator(g)
-    node = nav.root()
-    while g.table.kind[node.sym] != POWER or g.table.arg1[node.sym] != 4:
-        node = nav.child(node, nav.index_of(node, 3))
-    assert nav.index_of(node, node.pos + 3) == 3
-    with pytest.raises(OutOfRangeError):
-        nav.index_of(node, node.pos + g.table.explen[node.sym])
+    t = g.table
+    node = leaf(nav, 3)
+    while t.kind[node[1]] != POWER or t.arg1[node[1]] != 4:
+        node = node[2]
+    # the child covering node.pos + 3 is the fourth copy: three before it
+    c = leaf(nav, node[0] + 3)
+    while c[2] != node:
+        c = c[2]
+    assert ahead(nav, c, False) == 3 and ahead(nav, c, True) == 0
 
 
 def test_index_of_pair_boundary():
     g = build("ab", 0)
     nav = Navigator(g)
-    root = nav.root()
-    assert g.table.kind[root.sym] == PAIR
-    assert nav.index_of(root, 0) == 0
-    assert nav.index_of(root, 1) == 1
-
-
-def test_sibling():
-    g = build("aaa", 0)
-    nav = Navigator(g)
-    mid = nav.child(nav.root(), 1)
-    assert nav.sibling(mid, 0) == mid
-    assert nav.sibling(mid, -1) == nav.child(nav.root(), 0)
-    assert nav.sibling(nav.root(), 1) is None
+    root = (0, g.start, None)
+    assert g.table.kind[root[1]] == PAIR
+    a, b = leaf(nav, 0), leaf(nav, 1)
+    assert a[2] == root and b[2] == root
+    assert (ahead(nav, a, False), ahead(nav, a, True)) == (0, 1)
+    assert (ahead(nav, b, False), ahead(nav, b, True)) == (1, 0)
+    assert jump(nav, a, 1, True) == b and jump(nav, b, 1, False) == a
+    assert ahead(nav, root, True) == ahead(nav, root, False) == 0
 
 
 def test_leaf_positions_and_symbols():
@@ -87,103 +122,105 @@ def test_leaf_positions_and_symbols():
         g = build(text, seed)
         nav = Navigator(g)
         for j, ch in enumerate(text):
-            leaf = nav.leaf(j)
-            assert leaf.pos == j
-            assert g.expand(leaf.sym) == ch
+            v = leaf(nav, j)
+            assert v[0] == j
+            assert g.expand(v[1]) == ch
+    nav = Navigator(build("ab", 0))
     with pytest.raises(OutOfRangeError):
-        Navigator(build("ab", 0)).leaf(2)
+        leaf(nav, 2)
+    with pytest.raises(OutOfRangeError):
+        leaf(nav, -1)
 
 
 def test_handle_persistence():
     g = build("abab", 3)
     nav = Navigator(g)
-    root = nav.root()
-    c0 = nav.child(root, 0)
-    c1 = nav.child(root, 1)
-    assert c0.parent is root and c1.parent is root
-    # descending twice from the same node yields equal, independent handles
-    again = nav.child(root, 0)
+    root = (0, g.start, None)
+    c0 = first_child(nav, root, True)
+    c1 = first_child(nav, root, False)
+    assert c0[2] is root and c1[2] is root
+    # moving on from a cursor leaves it and its ancestors untouched
+    again = first_child(nav, root, True)
     assert again == c0 and again is not c0
+    assert jump(nav, c0, 1, True) == c1 and c0[2] is root
 
 
 def test_u_parent_levels():
+    # `up` in the uncompressed tree stays on a subdivided edge
     g = build("ab", 0)
     nav = Navigator(g)
     pair_level = g.table.level[g.start]
     assert pair_level >= 2
-    un = UNode(nav.leaf(0), 0)
+    v = leaf(nav, 0)
     # the edge stays subdivided until the round that created the pair
-    for k in range(1, pair_level):
-        un = nav.u_parent(un)
-        assert un.level == k and un.node.sym != g.start
-    un = nav.u_parent(un)
-    assert un.level == pair_level and un.node.sym == g.start
+    for k in range(pair_level - 1):
+        assert up(nav, v, k) is v
+    root = up(nav, v, pair_level - 1)
+    assert root[1] == g.start and root[2] is None
+    # above the root every level is the root itself
+    assert up(nav, root, pair_level) is root
 
 
 def test_u_parent_real_climb():
+    # the power `aa` is created in round 1: `up` from level 0 reaches it
     g = build("aa", 0)
     nav = Navigator(g)
-    un = UNode(nav.leaf(0), 0)
-    up = nav.u_parent(un)
-    assert up.level == 1 and up.node.sym == g.start
-
-
-def test_u_child_cases():
-    g = build("ab", 0)
-    nav = Navigator(g)
-    pair_level = g.table.level[g.start]
-    # above the symbol's own level the edge is subdivided: only child 0 exists
-    above = UNode(nav.root(), pair_level + 1)
-    sub = nav.u_child(above, 0)
-    assert sub.node is above.node and sub.level == pair_level
-    assert nav.u_child(above, 1) is None
-    # at the symbol's own level the real children appear
-    c0 = nav.u_child(sub, 0)
-    c1 = nav.u_child(sub, 1)
-    assert c0.node.sym == g.table.arg0[g.start]
-    assert c1.node.sym == g.table.arg1[g.start]
-    assert c0.level == c1.level == pair_level - 1
-    assert nav.u_child(sub, 2) is None
-    leaf_u = UNode(nav.leaf(0), 0)
-    assert nav.u_child(leaf_u, 0) is None
+    v = leaf(nav, 0)
+    assert up(nav, v, 0)[1] == g.start
 
 
 def test_u_next_enumerates_level_strings():
+    # `step` forward lists every level string
     for text, seed in text_corpus(20, 256, seed=29):
         g = build(text, seed)
         nav = Navigator(g)
         for k in range(g.rounds + 1):
             want = level_string(g, k).symbols
-            un = UNode(nav.leaf(0), 0)
-            for _ in range(k):
-                un = nav.u_parent(un)
+            v = _at_level(nav, 0, k)
             got = []
-            while un is not None:
-                got.append(un.node.sym)
-                un = nav.u_next(un)
+            while v is not None:
+                got.append(v[1])
+                v = step(nav, v, k, True)
             assert got == want, (text, seed, k)
 
 
 def test_u_prev_mirrors_u_next():
+    # `step` backward lists every level string in reverse
+    for text, seed in text_corpus(8, 128, seed=30):
+        g = build(text, seed)
+        nav = Navigator(g)
+        for k in range(g.rounds + 1):
+            want = level_string(g, k).symbols
+            v = _at_level(nav, g.text_len - 1, k)
+            got = []
+            while v is not None:
+                got.append(v[1])
+                v = step(nav, v, k, False)
+            got.reverse()
+            assert got == want, (text, seed, k)
+        assert step(nav, leaf(nav, 0), 0, False) is None
+
+
+def test_climb_reaches_next_fragment():
     g = build("abracadabra", 4)
     nav = Navigator(g)
-    for k in range(g.rounds + 1):
-        want = level_string(g, k).symbols
-        un = UNode(nav.leaf(g.text_len - 1), 0)
-        for _ in range(k):
-            un = nav.u_parent(un)
-        got = []
-        while un is not None:
-            got.append(un.node.sym)
-            un = nav.u_prev(un)
-        got.reverse()
-        assert got == want
-    first = UNode(nav.leaf(0), 0)
-    assert nav.u_prev(first) is None
+    ln = g.table.explen
+    for j in range(g.text_len):
+        v = leaf(nav, j)
+        nxt = climb(nav, v, True)
+        if j == g.text_len - 1:
+            assert nxt is None
+        else:
+            assert nxt == highest(nav, j + 1, True)
+        prv = climb(nav, v, False)
+        if j == 0:
+            assert prv is None
+        else:
+            assert prv[0] + ln[prv[1]] == j and prv == highest(nav, j, False)
 
 
 def test_forward_chain_step_bound():
-    # chains of u_next / u_parent / u_child cost O(r + s) primitive steps
+    # chains of forward `step` and `up` moves cost O(r + s) steps
     rng = random.Random(31)
     checked = 0
     for text, seed in text_corpus(50, 200, seed=37):
@@ -191,25 +228,43 @@ def test_forward_chain_step_bound():
         nav = Navigator(g)
         r = g.rounds
         for _ in range(20):
-            un = UNode(nav.leaf(rng.randrange(g.text_len)), 0)
+            v = leaf(nav, rng.randrange(g.text_len))
+            k = 0
             s = rng.randint(1, 64)
             nav.steps = 0
             done = 0
             for _ in range(s):
-                op = rng.choice(("next", "parent", "child"))
-                if op == "parent":
-                    un = nav.u_parent(un)
-                elif op == "child":
-                    nxt = nav.u_child(un, 0)
-                    if nxt is None:
-                        continue
-                    un = nxt
+                if rng.random() < 0.5:
+                    v = up(nav, v, k)
+                    k += 1
                 else:
-                    nxt = nav.u_next(un)
+                    nxt = step(nav, v, k, True)
                     if nxt is None:
                         break
-                    un = nxt
+                    v = nxt
                 done += 1
             assert nav.steps <= 8 * (r + max(done, 1)), (text, seed, nav.steps, r, done)
             checked += 1
     assert checked == 1000
+
+
+def test_step_totals_pinned():
+    # exact Navigator.steps totals of the query layers on a fixed corpus:
+    # a change to how any query walks the tree changes one of them
+    totals = {"lce": 0, "rev_lce": 0, "pseq": 0, "ipm_query": 0}
+    rng = random.Random(43)
+    for text, seed in text_corpus(24, 300, seed=41):
+        g = build(text, seed)
+        n = g.text_len
+        nav = Navigator(g)
+        for _ in range(25):
+            i, i2 = rng.randint(0, n), rng.randint(0, n)
+            x, x2, y, y2 = random_ipm_pair(rng, n)
+            for name, call in (("lce", lambda: lce(g, i, i2, nav)),
+                               ("rev_lce", lambda: rev_lce(g, i, i2, nav)),
+                               ("pseq", lambda: pseq(g, x, x2, nav)),
+                               ("ipm_query", lambda: ipm_query(g, x, x2, y, y2, nav))):
+                before = nav.steps
+                call()
+                totals[name] += nav.steps - before
+    assert totals == {"lce": 17352, "rev_lce": 17237, "pseq": 65010, "ipm_query": 146900}

@@ -2,7 +2,7 @@ import pytest
 
 from rlslp.builder import build
 from rlslp.errors import OutOfRangeError
-from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce
+from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce, naive_rle_match
 
 
 def test_naive_occ_hand_cases():
@@ -21,6 +21,13 @@ def test_naive_occ_errors():
         naive_occ("ab", 0, 3, 0, 2)
     with pytest.raises(OutOfRangeError):
         naive_occ("ab", 0, 0, 0, 2)
+
+
+def test_naive_rle_match():
+    # a^2 b inside b a^3 b a^2 b: starts at symbol offsets 2 and 5
+    assert naive_rle_match([(0, 2), (1, 1)], [(1, 1), (0, 3), (1, 1), (0, 2), (1, 1)]) == [2, 5]
+    assert naive_rle_match([(0, 3)], [(0, 2)]) == []
+    assert naive_rle_match([(0, 1)], [(0, 3)]) == [0, 1, 2]
 
 
 def test_naive_lce():

@@ -5,20 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from rlslp.errors import EmptyPatternError
 from rlslp.ipm import rle_match
+from rlslp.oracle import naive_rle_match
 from rlslp.popped import Run
 
 
 def _runs(*pairs):
     return [Run(s, e) for s, e in pairs]
-
-
-def _flatten(runs):
-    return [s for s, e in runs for _ in range(e)]
-
-
-def _naive(pruns, sruns):
-    p, s = _flatten(pruns), _flatten(sruns)
-    return [i for i in range(len(s) - len(p) + 1) if s[i:i + len(p)] == p]
 
 
 def _positions(progs):
@@ -73,7 +65,7 @@ def test_random_against_naive_with_bounds():
         pruns = _random_runs(rng, 4, 3, 5)
         sruns = _random_runs(rng, 14, 3, 5)
         progs = rle_match(pruns, sruns)
-        assert _positions(progs) == _naive(pruns, sruns)
+        assert _positions(progs) == naive_rle_match(pruns, sruns)
         plen = sum(e for _, e in pruns)
         slen = sum(e for _, e in sruns)
         assert len(progs) <= min(len(sruns), slen // plen) if progs else True
@@ -99,4 +91,4 @@ def test_hypothesis_random_rle(data):
         return runs
 
     pruns, sruns = normalize(raw_p), normalize(raw_s)
-    assert _positions(rle_match(pruns, sruns)) == _naive(pruns, sruns)
+    assert _positions(rle_match(pruns, sruns)) == naive_rle_match(pruns, sruns)
