@@ -1,9 +1,9 @@
 """Run-length grammar text index with LCE and internal pattern matching queries."""
 
 from .builder import build, level_string
+from .extension import lce, rev_lce
 from .grammar import Grammar
 from .ipm import Progression, ipm_query
-from .lce import lce, rev_lce
 from .navigator import Navigator
 from .popped import pseq
 

@@ -6,7 +6,8 @@ fixed (text, seed).  Text is read as raw bytes mapped to codepoints 0-255
 unless --utf8 is given.
 
 Exit codes: 0 success, 2 malformed arguments or unreadable/invalid input,
-3 for out-of-range positions or an IPM ratio violation.
+3 for out-of-range positions or an IPM ratio violation, 4 when a query
+fails an internal consistency check (a bug; the message names the check).
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import random
 import sys
 
 from .builder import build
-from .errors import IndexFormatError, RlslpError
+from .errors import IndexFormatError, InternalInvariantError, RlslpError
+from .extension import lce, rev_lce
 from .grammar import PAIR, POWER, TERMINAL, Grammar, SymbolTable
 from .ipm import ipm_query, proxy_pattern, rle_match
-from .lce import lce, rev_lce
 from .oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce, naive_rle_match
 from .popped import Run, pseq
 
@@ -164,6 +165,9 @@ def _cmd_query(args) -> int:
         else:
             occ = ipm_query(g, args.x, args.x2, args.y, args.y2)
             print(f"{occ.start} {occ.diff} {occ.count}")
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except RlslpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -47,3 +47,11 @@ class RatioViolationError(RlslpError):
 
 class IndexFormatError(RlslpError):
     """Serialized index file is malformed."""
+
+
+class InternalInvariantError(RlslpError, AssertionError):
+    """An internal consistency check failed: a bug, not bad input.
+
+    Also an AssertionError, so it reads as the failed check it is, but it is
+    raised explicitly and does not vanish under ``python -O``.
+    """

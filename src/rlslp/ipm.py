@@ -8,7 +8,9 @@ progression of start positions.  The pipeline:
    shrunken pattern still has more symbols than its level number.
 2. Cut a proxy window out of the text's level string around the middle of
    Y, just wide enough to contain the induced occurrence of every
-   occurrence of X in Y.
+   occurrence of X in Y.  The block walk behind it stops on each side at
+   the first of: Y's end on that side, enough symbols for the trim width,
+   or 2*level+2 blocks.
 3. Match the two run-length encoded symbol sequences, producing O(1)
    candidate progressions.
 4. Verify each progression with a constant number of LCE queries, using
@@ -25,11 +27,12 @@ from typing import Iterator, Sequence
 from .errors import (
     EmptyFragmentError,
     EmptyPatternError,
+    InternalInvariantError,
     OutOfRangeError,
     RatioViolationError,
 )
+from .extension import lce, rev_lce
 from .grammar import POWER, Grammar
-from .lce import lce, rev_lce
 from .navigator import Navigator, leaf, step, up
 from .popped import PoppedSeq, Run, pseq
 
@@ -234,11 +237,18 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
                nav: Navigator | None = None) -> ProxyText:
     """Cut the proxy window of the level string around the middle of Y.
 
-    Walks 2*level+2 blocks of the next level string to either side of the
-    middle position's block, expands them one level down, then trims the
-    result to at most sym_len+level-1 symbols on either side of the middle
-    position's ancestor and to symbols whose expansions lie inside Y.  May
-    be empty.
+    Walks the blocks of the next level string to either side of the middle
+    position's block, then expands them one level down and, in the same
+    pass, trims the result to at most window = sym_len+level-1 symbols on
+    either side of the middle position's ancestor and to symbols whose
+    expansions lie inside Y.  May be empty.  Each side's walk stops at the
+    first of:
+
+    (a) a block starting at or before y (backward) or ending at or after
+        y2 (forward): blocks further out lie outside Y;
+    (b) blocks holding window level-``level`` symbols in all: blocks
+        further out lie beyond the trim width;
+    (c) 2*level+2 blocks.
     """
     if y2 <= y:
         raise EmptyFragmentError("proxy text of an empty fragment")
@@ -257,72 +267,97 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
         if k + 1 == level:
             m_node = v
 
-    # the block of T[m] at level+1 and up to `radius` blocks to either side
+    # the block of T[m] at level+1 and up to `radius` blocks to either side.
+    # A side's walk also stops once its last block reaches Y's end on that
+    # side, or once its blocks hold `window` level-`level` symbols: every
+    # further block then lies outside Y, or more than `window` symbols from
+    # m_node, and the trim below would drop all of it.
+    top = level + 1
+    window = pp.sym_len + level - 1
     radius = 2 * level + 2
+    lvl, kind, a0, a1, ln = t.level, t.kind, t.arg0, t.arg1, t.explen
     blocks = [v]
     for forward in (False, True):
         cur = v
+        held = 0
         for _ in range(radius):
-            cur = step(nav, cur, level + 1, forward)
+            if held >= window or (cur[0] + ln[cur[1]] >= y2 if forward else cur[0] <= y):
+                break
+            cur = step(nav, cur, top, forward)
             if cur is None:
                 break
             blocks.append(cur)
+            s = cur[1]
+            if lvl[s] != top:
+                held += 1
+            else:
+                held += a1[s] if kind[s] == POWER else 2
         if not forward:
             blocks.reverse()
+            held_back = held
 
-    # expand the window one level down, keeping text positions per run
-    seq: list[tuple[int, int, int]] = []  # (sym, exponent, text start)
-    for pos, s, _ in blocks:
-        if t.level[s] == level + 1:
-            if t.kind[s] == POWER:
-                seq.append((t.arg0[s], t.arg1[s], pos))
-            else:
-                b, c = t.arg0[s], t.arg1[s]
-                seq.append((b, 1, pos))
-                seq.append((c, 1, pos + t.explen[b]))
-        else:
-            seq.append((s, 1, pos))
+    # index level-`level` symbols from m_node, which is symbol i of its
+    # block's expansion; the symbol trim keeps indices in [-window, window]
+    pos, s, _ = v
+    off = m_node[0] - pos
+    if not 0 <= off < ln[s]:
+        raise InternalInvariantError("proxy-level ancestor of T[m] outside its block")
+    if lvl[s] == top and kind[s] == POWER:
+        i = off // ln[a0[s]]
+    else:  # a pair's second child, or the block itself
+        i = 0 if off == 0 else 1
+    base = -held_back - i  # index of the next run's first symbol
 
-    # symbol index of the middle position's proxy-level ancestor
-    m_idx = None
-    base = 0
-    for sym, e, start in seq:
-        w = t.explen[sym]
-        if start <= m_node[0] < start + e * w:
-            off = m_node[0] - start
-            assert off % w == 0 and sym == m_node[1]
-            m_idx = base + off // w
-            break
-        base += e
-    assert m_idx is not None
-
-    window = pp.sym_len + level - 1
+    # expand the blocks one level down and keep the symbols inside both
+    # trims: within `window` of m_node, and with expansions inside Y.  The
+    # bounds use plain comparisons: max/min calls made this loop, which
+    # runs once per window symbol, markedly slower.
     out: list[Run] = []
     text_start = y
     exp_len = 0
     sym_len = 0
-    expected_next = None
-    base = 0
-    for sym, e, start in seq:
-        w = t.explen[sym]
-        lo = max(0, m_idx - window - base)
-        hi = min(e - 1, m_idx + window - base)
-        if start < y:
-            lo = max(lo, -((start - y) // w))  # ceil((y - start) / w)
-        hi = min(hi, (y2 - start) // w - 1)
-        if lo <= hi:
-            if expected_next is not None:
-                assert base + lo == expected_next, "proxy window not contiguous"
+    end = -1  # text position just past the last kept symbol
+    for pos, s, _ in blocks:
+        if lvl[s] != top:
+            runs = ((s, 1, pos),)
+        elif kind[s] == POWER:
+            runs = ((a0[s], a1[s], pos),)
+        else:
+            b = a0[s]
+            runs = ((b, 1, pos), (a1[s], 1, pos + ln[b]))
+        for sym, e, start in runs:
+            w = ln[sym]
+            if base <= 0 < base + e and (sym != m_node[1] or start - base * w != m_node[0]):
+                raise InternalInvariantError("proxy-level ancestor of T[m] misaligned in its block")
+            lo = -window - base
+            if lo < 0:
+                lo = 0
+            if start < y:
+                c = -((start - y) // w)  # ceil((y - start) / w)
+                if c > lo:
+                    lo = c
+            hi = window - base
+            if hi >= e:
+                hi = e - 1
+            c = (y2 - start) // w - 1
+            if c < hi:
+                hi = c
+            base += e
+            if lo > hi:
+                continue
+            first = start + lo * w
+            if end < 0:
+                text_start = first
+            elif first != end:
+                raise InternalInvariantError("proxy window not contiguous")
+            k = hi - lo + 1
+            end = first + k * w
+            if out and out[-1][0] == sym:
+                out[-1] = Run(sym, out[-1][1] + k)
             else:
-                text_start = start + lo * w
-            expected_next = base + hi + 1
-            if out and out[-1].sym == sym:
-                out[-1] = Run(sym, out[-1].exponent + hi - lo + 1)
-            else:
-                out.append(Run(sym, hi - lo + 1))
-            exp_len += (hi - lo + 1) * w
-            sym_len += hi - lo + 1
-        base += e
+                out.append(Run(sym, k))
+            exp_len += k * w
+            sym_len += k
     return ProxyText(rle=tuple(out), text_start=text_start,
                      exp_len=exp_len, sym_len=sym_len)
 
@@ -526,13 +561,13 @@ def _merge_all(parts: list[Progression]) -> Progression:
     # shapes did not combine arithmetically; materialize and re-check
     total = sum(p.count for p in parts)
     if total > _MERGE_MATERIALIZE_CAP:
-        raise AssertionError("occurrence union too large to verify as one progression")
+        raise InternalInvariantError("occurrence union too large to verify as one progression")
     positions = sorted({pos for p in parts for pos in p.positions()})
     if len(positions) == 1:
         return Progression.of(positions[0], 1, 1)
     d = positions[1] - positions[0]
     if any(positions[i + 1] - positions[i] != d for i in range(len(positions) - 1)):
-        raise AssertionError("occurrences do not form a single arithmetic progression")
+        raise InternalInvariantError("occurrences do not form a single arithmetic progression")
     return Progression.of(positions[0], d, len(positions))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .builder import LEFT, RIGHT, level_string, partition_for_level
 from .errors import OutOfRangeError
-from .grammar import Grammar
+from .grammar import POWER, Grammar
 
 _ORACLE_CAP = 512
 
@@ -161,3 +161,52 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
 
     proxy_level = max(k for k in range(q + 1) if len(xbar[k]) > k)
     return NaivePopped(xbar=xbar, left=lefts, right=rights, q=q, proxy_level=proxy_level)
+
+
+def naive_proxy_text(g: Grammar, y: int, y2: int, pp) -> tuple[tuple, int, int, int]:
+    """The proxy window of ``ipm.proxy_text`` on the materialized level string.
+
+    Takes the level-(level+1) blocks within 2*level+2 of the block holding
+    the middle position m of Y, expands them one level down, and keeps the
+    symbols within sym_len+level-1 of m's level-``level`` symbol whose
+    expansions lie inside [y, y2).  Returns ``(rle, text_start, exp_len,
+    sym_len)``, with text_start == y for an empty window.
+    """
+    assert g.text_len <= _ORACLE_CAP, "oracle capped at texts of length 512"
+    _check_fragment(g.text_len, y, y2)
+    assert y < y2
+    t = g.table
+    level = pp.level
+    # above the last round the level string is the start symbol alone
+    upper = level_string(g, min(level + 1, g.rounds)).symbols
+    starts = [0]
+    for s in upper:
+        starts.append(starts[-1] + t.explen[s])
+    m = y + (y2 - y) // 2
+    mb = next(i for i in range(len(upper)) if starts[i] <= m < starts[i + 1])
+    radius = 2 * level + 2
+    syms: list[tuple[int, int]] = []  # (level-`level` symbol, text start)
+    for i in range(max(0, mb - radius), min(len(upper), mb + radius + 1)):
+        s, pos = upper[i], starts[i]
+        if t.level[s] != level + 1:
+            kids = [s]
+        elif t.kind[s] == POWER:
+            kids = [t.arg0[s]] * t.arg1[s]
+        else:
+            kids = [t.arg0[s], t.arg1[s]]
+        for c in kids:
+            syms.append((c, pos))
+            pos += t.explen[c]
+    mi = next(i for i, (s, pos) in enumerate(syms) if pos <= m < pos + t.explen[s])
+    window = pp.sym_len + level - 1
+    kept = [(s, pos) for i, (s, pos) in enumerate(syms)
+            if abs(i - mi) <= window and y <= pos and pos + t.explen[s] <= y2]
+    rle: list[tuple[int, int]] = []
+    for s, _ in kept:
+        if rle and rle[-1][0] == s:
+            rle[-1] = (s, rle[-1][1] + 1)
+        else:
+            rle.append((s, 1))
+    text_start = kept[0][1] if kept else y
+    exp_len = sum(t.explen[s] for s, _ in kept)
+    return tuple(rle), text_start, exp_len, len(kept)

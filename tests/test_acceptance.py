@@ -8,10 +8,10 @@ import random
 import statistics
 import time
 
+from rlslp import lce, rev_lce
 from rlslp.builder import build, level_string, round_cap
 from rlslp.cli import load_index, save_index
 from rlslp.ipm import ipm_query, rle_match
-from rlslp.lce import lce, rev_lce
 from rlslp.navigator import Navigator
 from rlslp.oracle import (naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce,
                           naive_rle_match)

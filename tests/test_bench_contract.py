@@ -7,13 +7,12 @@ only, swaps ``rlslp.ipm.lce``/``rev_lce`` for wrappers that record a span
 per call.  These tests run that code on a small corpus.
 """
 
-import importlib
 import random
 import sys
 from pathlib import Path
 
 from rlslp import Navigator, build, ipm_query, lce, rev_lce
-from rlslp import ipm as ipm_mod
+from rlslp import extension, ipm as ipm_mod
 
 from helpers import random_ipm_pair, random_text
 
@@ -30,15 +29,14 @@ def _texts(rng):
 
 def test_traced_ipm_matches_ipm_query(monkeypatch):
     # count every LCE the package computes, whichever way it is reached
-    lce_mod = importlib.import_module("rlslp.lce")  # `rlslp.lce` is the function
-    extension = lce_mod._extension
+    walk = extension._extension
     computed = [0]
 
     def counted(*args):
         computed[0] += 1
-        return extension(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(lce_mod, "_extension", counted)
+    monkeypatch.setattr(extension, "_extension", counted)
     rng = random.Random(71)
     tracer = Tracer()
     traced = TracedIpm(tracer)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from rlslp import lce, rev_lce
 from rlslp.builder import build
 from rlslp.cli import load_index, main, save_index
-from rlslp.errors import IndexFormatError
+from rlslp.errors import IndexFormatError, InternalInvariantError
 from rlslp.ipm import ipm_query
-from rlslp.lce import lce, rev_lce
 from rlslp.oracle import naive_lce, naive_occ
 
 from helpers import random_text
@@ -97,6 +97,18 @@ def test_query_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["query", "--index", str(path), "lce", "0"])
     assert exc.value.code == 2
+
+
+def test_query_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    path = _build_index(tmp_path, "abab")
+    capsys.readouterr()
+
+    def broken(*args):
+        raise InternalInvariantError("proxy window not contiguous")
+
+    monkeypatch.setattr("rlslp.cli.ipm_query", broken)
+    assert main(["query", "--index", str(path), "ipm", "0", "2", "0", "3"]) == 4
+    assert "proxy window not contiguous" in capsys.readouterr().err
 
 
 def test_stats(tmp_path, capsys):

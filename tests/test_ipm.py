@@ -6,6 +6,7 @@ from rlslp.builder import build
 from rlslp.errors import (
     EmptyFragmentError,
     EmptyPatternError,
+    InternalInvariantError,
     OutOfRangeError,
     RatioViolationError,
 )
@@ -22,7 +23,7 @@ from rlslp.ipm import (
     verify_progression,
 )
 from rlslp.navigator import Navigator
-from rlslp.oracle import naive_occ, naive_pseq_levels
+from rlslp.oracle import naive_occ, naive_proxy_text, naive_pseq_levels
 
 from helpers import random_ipm_pair, random_text, text_corpus
 
@@ -121,6 +122,35 @@ def test_proxy_text_contains_induced_occurrences():
         assert pt.sym_len < 4 * pp.sym_len
         assert len(rle_match(pp.rle, pt.rle)) <= 4
     assert checked > 50
+
+
+def _window_texts(rng):
+    for sigma in (1, 2, 4, 26):
+        for _ in range(6):
+            yield random_text(rng, 200, sigma)
+    fib = ["a", "ab"]
+    while len(fib[-1]) < 300:
+        fib.append(fib[-1] + fib[-2])
+    yield fib[-1][:300]
+    for _ in range(6):
+        period = random_text(rng, 8, 3)
+        yield "".join(period * rng.randint(1, 9) + random_text(rng, 2, 4)
+                      for _ in range(12))[:400]
+
+
+def test_proxy_text_matches_exact_window_oracle():
+    rng = random.Random(79)
+    for seed, text in enumerate(_window_texts(rng)):
+        g = build(text, seed)
+        n = len(text)
+        for q in range(30):
+            x, x2, y, y2 = random_ipm_pair(rng, n)
+            if q % 3 == 0:  # Y touching 0 or n
+                y, y2 = (0, y2 - y) if q % 2 else (n - (y2 - y), n)
+            pp = proxy_pattern(g, x, x2)
+            pt = proxy_text(g, y, y2, pp)
+            assert (pt.rle, pt.text_start, pt.exp_len, pt.sym_len) == \
+                naive_proxy_text(g, y, y2, pp), (text, seed, (x, x2), (y, y2))
 
 
 def test_proxy_text_empty_fragment_rejected():
@@ -262,6 +292,12 @@ def test_merge_all_materialize_fallback():
     with pytest.raises(AssertionError):
         _merge_all([Progression.of(0, 2, 3), Progression.of(1, 1, 1),
                     Progression.of(9, 1, 1)])
+
+
+def test_merge_all_non_progression_is_typed_internal_error():
+    with pytest.raises(InternalInvariantError):
+        _merge_all([Progression.of(0, 1, 1), Progression.of(1, 1, 1),
+                    Progression.of(5, 1, 1)])
 
 
 def test_merge_all_empty_and_single():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from rlslp import lce, rev_lce
 from rlslp.builder import build
 from rlslp.errors import OutOfRangeError
-from rlslp.lce import lce, rev_lce
 from rlslp.navigator import Navigator
 from rlslp.oracle import naive_lce, naive_rev_lce
 

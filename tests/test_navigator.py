@@ -267,4 +267,4 @@ def test_step_totals_pinned():
                 before = nav.steps
                 call()
                 totals[name] += nav.steps - before
-    assert totals == {"lce": 17352, "rev_lce": 17237, "pseq": 65010, "ipm_query": 146900}
+    assert totals == {"lce": 17352, "rev_lce": 17237, "pseq": 65010, "ipm_query": 133389}

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from rlslp import lce, rev_lce
 from rlslp.builder import build
 from rlslp.ipm import ipm_query
-from rlslp.lce import lce, rev_lce
 from rlslp.navigator import Navigator
 from rlslp.oracle import naive_lce, naive_occ, naive_rev_lce
 
