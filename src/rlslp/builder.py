@@ -75,7 +75,9 @@ def draw_partition(s: LevelString, k: int, seed: int) -> Partition:
 
 def shrink_rle(s: LevelString, k: int, table: SymbolTable) -> LevelString:
     """Collapse maximal runs of equal adjacent symbols into powers at level ``k``."""
-    assert k == s.level + 1 and k % 2 == 1
+    if k != s.level + 1 or k % 2 == 0:
+        raise BadLevelError(f"run compression at round {k} after level {s.level}: "
+                            "needs the next round, and an odd one")
     syms = s.symbols
     out: list[int] = []
     i = 0
@@ -98,7 +100,9 @@ def shrink_pc(s: LevelString, k: int, p: Partition, table: SymbolTable) -> Level
     Left/right disjointness means pair blocks never chain, so the local
     boundary rule and the left-to-right greedy scan agree.
     """
-    assert k == s.level + 1 and k % 2 == 0
+    if k != s.level + 1 or k % 2 == 1:
+        raise BadLevelError(f"pair compression at round {k} after level {s.level}: "
+                            "needs the next round, and an even one")
     classes = p.classes
     syms = s.symbols
     out: list[int] = []

@@ -5,9 +5,10 @@ by one line per symbol in id order, so a build is byte-reproducible for a
 fixed (text, seed).  Text is read as raw bytes mapped to codepoints 0-255
 unless --utf8 is given.
 
-Exit codes: 0 success, 2 malformed arguments or unreadable/invalid input,
-3 for out-of-range positions or an IPM ratio violation, 4 when a query
-fails an internal consistency check (a bug; the message names the check).
+Exit codes: 0 success, 2 malformed arguments or unreadable/invalid input
+(an index whose header or levels disagree with its symbols included), 3
+for out-of-range positions or an IPM ratio violation, 4 when a query fails
+an internal consistency check (a bug; the message names the check).
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def load_index(path: str) -> Grammar:
         raise IndexFormatError(f"unsupported version {fields['version']}")
     if len(lines) - 1 != fields["symbols"]:
         raise IndexFormatError("symbol count does not match header")
+    if not 0 <= fields["seed"] < 1 << 64:
+        raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
 
     table = SymbolTable()
     try:
@@ -89,11 +92,15 @@ def load_index(path: str) -> Grammar:
                 b, c, level = int(parts[2]), int(parts[3]), int(parts[4])
                 if b >= sid or c >= sid:
                     raise IndexFormatError(f"forward reference on line {lineno + 1}")
+                if level % 2:
+                    raise IndexFormatError(f"pair on odd level {level} on line {lineno + 1}")
                 got = table.intern_pair(b, c, level)
             elif tag == "R" and len(parts) == 5:
                 b, m, level = int(parts[2]), int(parts[3]), int(parts[4])
                 if b >= sid:
                     raise IndexFormatError(f"forward reference on line {lineno + 1}")
+                if level % 2 == 0:
+                    raise IndexFormatError(f"power on even level {level} on line {lineno + 1}")
                 got = table.intern_power(b, m, level)
             else:
                 raise IndexFormatError(f"bad record on line {lineno + 1}")
@@ -113,6 +120,9 @@ def load_index(path: str) -> Grammar:
                 seed=fields["seed"], text_len=fields["text_len"])
     if table.explen[start] != g.text_len:
         raise IndexFormatError("text_len does not match the start symbol expansion")
+    if table.level[start] != g.rounds:
+        raise IndexFormatError(f"rounds={g.rounds} does not match the start symbol's level "
+                               f"{table.level[start]}")
     return g
 
 

@@ -4,8 +4,10 @@ The query requires |Y| < 2|X|, which forces every occurrence of X to cover
 the middle position of Y and makes the answer a single arithmetic
 progression of start positions.  The pipeline:
 
-1. Pop the pattern down to its proxy level: the deepest level where the
-   shrunken pattern still has more symbols than its level number.
+1. Pop the pattern level by level, then find its proxy level, the
+   deepest level where the shrunken pattern still has more symbols than
+   its level number, and expand the popped runs above it straight down
+   to that level in one pass.
 2. Cut a proxy window out of the text's level string around the middle of
    Y, just wide enough to contain the induced occurrence of every
    occurrence of X in Y.  The block walk behind it stops on each side at
@@ -112,7 +114,8 @@ def _exp_prefix(g: Grammar, runs: Sequence[Run], nsyms: int) -> int:
         take = e if e < nsyms else nsyms
         total += take * explen[sym]
         nsyms -= take
-    assert nsyms <= 0 or total == 0 and nsyms == 0
+    if nsyms > 0:
+        raise InternalInvariantError("prefix longer than the run sequence")
     return total
 
 
@@ -123,7 +126,10 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
     The level is found by sweeping the popped sequence from the deepest
     level downward, maintaining the symbol multiset size of the shrunken
     pattern in a bucket queue keyed by symbol level and stopping as soon as
-    the size exceeds the level.
+    the size exceeds the level.  One pass then expands L_level..L_q,
+    R_q..R_level straight down to the level, merging equal neighbours.  The
+    result has at most 2*level+4 runs: each of the at most level+1
+    level-(level+1) symbols gives at most two, L_level and R_level one each.
     """
     if x2 <= x:
         raise EmptyFragmentError("proxy pattern of an empty fragment")
@@ -172,14 +178,18 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
         if stop:
             level = k
             break
-    assert level >= 0, "the level-0 multiset is the pattern itself and cannot be empty"
+    if level < 0:
+        raise InternalInvariantError("proxy level not found: the pattern cannot be empty")
 
-    # ---- materialize the level-(level+1) symbol sequence ----
-    mid: list[Run] = []
+    # ---- expand the popped runs straight down to the level ----
+    out: list[Run] = []
 
     def emit(sym: int, mult: int) -> None:
-        if lvl[sym] <= level + 1:
-            mid.append(Run(sym, mult))
+        if lvl[sym] <= level:
+            if out and out[-1][0] == sym:
+                out[-1] = Run(sym, out[-1][1] + mult)
+            else:
+                out.append(Run(sym, mult))
         elif kind[sym] == POWER:
             emit(t.arg0[sym], t.arg1[sym] * mult)
         else:
@@ -187,48 +197,20 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
                 emit(t.arg0[sym], 1)
                 emit(t.arg1[sym], 1)
 
-    for k in range(level + 1, q + 1):
-        run = ps.left[k]
+    for run in (*ps.left[level:], *reversed(ps.right[level:])):
         if run is not None:
             emit(run.sym, run.exponent)
-    for k in range(q, level, -1):
-        run = ps.right[k]
-        if run is not None:
-            emit(run.sym, run.exponent)
-    assert sum(e for _, e in mid) <= level + 1
-
-    # ---- expand one more level into the run-length encoding ----
-    out: list[Run] = []
-
-    def push(sym: int, e: int) -> None:
-        if out and out[-1].sym == sym:
-            out[-1] = Run(sym, out[-1].exponent + e)
-        else:
-            out.append(Run(sym, e))
-
-    lrun = ps.left[level]
-    if lrun is not None:
-        push(lrun.sym, lrun.exponent)
-    for sym, e in mid:
-        if lvl[sym] == level + 1:
-            if kind[sym] == POWER:
-                push(t.arg0[sym], t.arg1[sym] * e)
-            else:
-                for _ in range(e):
-                    push(t.arg0[sym], 1)
-                    push(t.arg1[sym], 1)
-        else:
-            push(sym, e)
-    rrun = ps.right[level]
-    if rrun is not None:
-        push(rrun.sym, rrun.exponent)
+    if len(out) > 2 * level + 4:
+        raise InternalInvariantError("proxy pattern has more runs than its level allows")
 
     left_off = ps.left_exp[level]
     right_cut = (x2 - x) - ps.right_exp[level]
     exp_len = right_cut - left_off
     sym_len = sum(e for _, e in out)
-    assert exp_len == sum(e * t.explen[s] for s, e in out)
-    assert sym_len > level
+    if exp_len != sum(e * t.explen[s] for s, e in out):
+        raise InternalInvariantError("proxy pattern does not expand to its window of X")
+    if sym_len <= level:
+        raise InternalInvariantError("proxy pattern not longer than its level")
     return ProxyPattern(level=level, rle=tuple(out), left_off=left_off,
                         right_cut=right_cut, exp_len=exp_len, sym_len=sym_len)
 
@@ -487,35 +469,30 @@ def verify_progression(g: Grammar, v: Progression, gstep: int, pp: ProxyPattern,
     first = v.start
     s = v.count
     if s == 1:
-        p = first - head
-        if p < y or p + xlen > y2:
-            return EMPTY_PROGRESSION
-        if lce(g, p, x, nav) >= xlen:
-            return Progression.of(p, 1, 1)
-        return EMPTY_PROGRESSION
-
-    step = gstep
-    end = first + (s - 1) * step + pp.exp_len  # just past the last occurrence
-    # how far the period `step` of the window extends, within X and within Y
-    x_left = min(rev_lce(g, x + head, x + head + step, nav), head)
-    x_right = min(lce(g, x + cut, x + cut - step, nav), xlen - cut)
-    y_left = min(rev_lce(g, first, first + step, nav), first - y)
-    y_right = min(lce(g, end, end - step, nav), y2 - end)
-
-    if x_left == head and x_right == xlen - cut:
-        # the period extends through all of X: occurrences are exactly the
-        # candidates whose X-extent stays inside the periodic region of Y
-        lo = (max(0, x_left - y_left) + step - 1) // step
-        hi = s - (max(0, x_right - y_right) + step - 1) // step
-        if hi <= lo:
-            return EMPTY_PROGRESSION
-        return Progression.of(first - head + lo * step, step, hi - lo)
-
-    if x_left < head:
-        # the period breaks inside X left of the window; align the breaks
-        cand = first - head + x_left - y_left
+        cand = first - head
     else:
-        cand = end - cut + y_right - x_right
+        end = first + (s - 1) * gstep + pp.exp_len  # just past the last occurrence
+        # how far the period `gstep` of the window extends, within X and within Y
+        x_left = min(rev_lce(g, x + head, x + head + gstep, nav), head)
+        x_right = min(lce(g, x + cut, x + cut - gstep, nav), xlen - cut)
+        y_left = min(rev_lce(g, first, first + gstep, nav), first - y)
+        y_right = min(lce(g, end, end - gstep, nav), y2 - end)
+
+        if x_left == head and x_right == xlen - cut:
+            # the period extends through all of X: occurrences are exactly the
+            # candidates whose X-extent stays inside the periodic region of Y
+            lo = (max(0, x_left - y_left) + gstep - 1) // gstep
+            hi = s - (max(0, x_right - y_right) + gstep - 1) // gstep
+            if hi <= lo:
+                return EMPTY_PROGRESSION
+            return Progression.of(first - head + lo * gstep, gstep, hi - lo)
+
+        if x_left < head:
+            # the period breaks inside X left of the window; align the breaks
+            cand = first - head + x_left - y_left
+        else:
+            cand = end - cut + y_right - x_right
+    # a single candidate remains: check it directly
     if cand < y or cand + xlen > y2:
         return EMPTY_PROGRESSION
     if lce(g, cand, x, nav) >= xlen:
@@ -533,9 +510,7 @@ def _merge_two(p: Progression, q: Progression) -> Progression | None:
         return Progression.of(p.start, q.start - p.start, 2)
     if p.count == 1:
         d = q.diff
-    elif q.count == 1:
-        d = p.diff
-    elif p.diff == q.diff:
+    elif q.count == 1 or p.diff == q.diff:
         d = p.diff
     else:
         return None

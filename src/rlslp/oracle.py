@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builder import LEFT, RIGHT, level_string, partition_for_level
-from .errors import OutOfRangeError
+from .errors import InternalInvariantError, OutOfRangeError
 from .grammar import POWER, Grammar
 
 _ORACLE_CAP = 512
@@ -21,6 +21,14 @@ _ORACLE_CAP = 512
 def _check_fragment(n: int, i: int, j: int) -> None:
     if not (0 <= i <= j <= n):
         raise OutOfRangeError(f"fragment [{i}, {j}) outside [0, {n})")
+
+
+def _check_grammar_fragment(g: Grammar, i: int, j: int) -> None:
+    if g.text_len > _ORACLE_CAP:
+        raise OutOfRangeError(f"oracle capped at texts of length {_ORACLE_CAP}")
+    _check_fragment(g.text_len, i, j)
+    if i >= j:
+        raise OutOfRangeError(f"empty fragment [{i}, {j})")
 
 
 def naive_occ(text: str, x: int, x2: int, y: int, y2: int) -> list[int]:
@@ -101,9 +109,7 @@ def _blocks(seq: list[int], k: int, classes: dict[int, str] | None) -> list[tupl
 
 def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
     """Simulate the popped-sequence definition on materialized level strings."""
-    assert g.text_len <= _ORACLE_CAP, "oracle capped at texts of length 512"
-    _check_fragment(g.text_len, x, x2)
-    assert x < x2
+    _check_grammar_fragment(g, x, x2)
     t = g.table
     xbar = [level_string(g, 0).symbols[x:x2]]
     lefts: list[list[int]] = []
@@ -150,14 +156,16 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
             elif shrink_round % 2 == 1:
                 nxt.append(t.find_power(middle[b_lo], size))
             else:
-                assert size == 2
+                if size != 2:
+                    raise InternalInvariantError(f"pair block of {size} symbols")
                 nxt.append(t.find_pair(middle[b_lo], middle[b_lo + 1]))
         if not nxt:
             q = k
             break
         xbar.append(nxt)
         k += 1
-        assert k <= g.rounds + 1
+        if k > g.rounds + 1:
+            raise InternalInvariantError("popped sequence exceeded the round count")
 
     proxy_level = max(k for k in range(q + 1) if len(xbar[k]) > k)
     return NaivePopped(xbar=xbar, left=lefts, right=rights, q=q, proxy_level=proxy_level)
@@ -172,9 +180,7 @@ def naive_proxy_text(g: Grammar, y: int, y2: int, pp) -> tuple[tuple, int, int, 
     expansions lie inside [y, y2).  Returns ``(rle, text_start, exp_len,
     sym_len)``, with text_start == y for an empty window.
     """
-    assert g.text_len <= _ORACLE_CAP, "oracle capped at texts of length 512"
-    _check_fragment(g.text_len, y, y2)
-    assert y < y2
+    _check_grammar_fragment(g, y, y2)
     t = g.table
     level = pp.level
     # above the last round the level string is the start symbol alone

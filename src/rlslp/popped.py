@@ -1,22 +1,24 @@
 """Per-level boundary-block decomposition of a text fragment.
 
 Virtually recompressing a fragment X in isolation pops, at each level k, a
-leading block and a trailing block off the shrinking symbol string.
+leading block L_k and a trailing block R_k off the shrinking symbol string.
 Each popped block is a power of a single symbol, so the whole
 decomposition is run-length encoded, and concatenating the expansions of
 L_0..L_q, R_q..R_0 reconstitutes X.  The computation walks the two
 boundary nodes of the fragment's induced occurrence level by level, in
-O(r) cursor moves, without materializing any level string.
+O(r) cursor moves, without materializing any level string: one pop move,
+run forward for L_k and backward for R_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import EmptyFragmentError, OutOfRangeError
+from .errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
 from .grammar import PAIR, Grammar
-from .navigator import Navigator, ahead, leaf, step, up
+from .navigator import Cursor, Navigator, ahead, leaf, step, up
 
 
 class Run(NamedTuple):
@@ -47,11 +49,28 @@ class PoppedSeq:
         return out
 
 
+def _pop(nav: Navigator, v: Cursor, v_p: Cursor, k: int, forward: bool,
+         kind: list[int]) -> tuple[Run | None, Cursor | None]:
+    """Pop L_k (forward) or R_k (backward) at the level-k boundary node ``v``,
+    whose level-(k+1) node is ``v_p``.
+
+    Returns the run, None when ``v`` is the first child in the direction of
+    travel of a pair (that block is compressed, not popped), and the next
+    boundary node at level k+1 (None past the end of the text).
+    """
+    if v_p is v:  # a subdivided edge: v is a block of its own
+        return Run(v[1], 1), step(nav, v, k + 1, forward)
+    if kind[v_p[1]] == PAIR and (v[0] == v_p[0]) == forward:
+        return None, v_p
+    return Run(v[1], ahead(nav, v, forward) + 1), step(nav, v_p, k + 1, forward)
+
+
 def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> PoppedSeq:
     """Popped sequence of the fragment T[x_start, x_end) in O(r) node steps.
 
-    The left boundary only walks forward and the right boundary only
-    backward, so each walk is one chain of ``up`` and ``step`` moves.
+    One pop move pops each level's leading block walking forward and its
+    trailing block walking backward, so each boundary walk is one chain of
+    ``up`` and ``step`` moves.
     """
     if not (0 <= x_start and x_end <= g.text_len):
         raise OutOfRangeError(f"fragment [{x_start}, {x_end}) outside [0, {g.text_len})")
@@ -66,65 +85,36 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
 
     left: list[Run | None] = []
     right: list[Run | None] = []
-    left_exp = [0]
-    right_exp = [0]
-    k = 0
-    while True:
+    for k in range(g.rounds + 2):
         # lo and hi are the boundary nodes of the shrunken fragment at level k
         lo_p = up(nav, lo, k)
         hi_p = up(nav, hi, k)
-        single = lo[0] == hi[0]  # the level-k string is one symbol
-        lo_climbed = lo_p is not lo
-        hi_climbed = hi_p is not hi
-        # L_k is empty iff the leftmost block is a two-distinct-symbol pair
-        # with lo as its left child, and the level-k string is longer than one symbol.
-        l_empty = (lo_climbed and kind[lo_p[1]] == PAIR
-                   and not single and lo[0] == lo_p[0])
-        parents_same = lo_p[0] == hi_p[0]
-
-        if not l_empty and parents_same:
-            # the whole level-k string is a single block that is not a
-            # two-distinct pair: pop it all on the left and stop
-            e = ahead(nav, hi, False) - ahead(nav, lo, False) + 1 if lo_climbed else 1
+        # One block spans the level-k string unless L_k is empty: lo is
+        # the left child of a two-distinct-symbol pair and the string is
+        # longer than one symbol.  Then pop it all on the left and stop.
+        if lo_p[0] == hi_p[0] and not (lo_p is not lo and lo[0] == lo_p[0]
+                                       and lo[0] != hi[0] and kind[lo_p[1]] == PAIR):
+            e = ahead(nav, hi, False) - ahead(nav, lo, False) + 1 if lo_p is not lo else 1
             left.append(Run(lo[1], e))
             right.append(None)
-            left_exp.append(left_exp[-1] + e * explen[lo[1]])
-            right_exp.append(right_exp[-1])
-            q = k
             break
 
-        if l_empty:
-            l_run = None
-            lo_next = lo_p
-        else:
-            e = ahead(nav, lo, True) + 1 if lo_climbed else 1
-            l_run = Run(lo[1], e)
-            lo_next = step(nav, lo_p, k + 1, True)
-
-        r_empty = hi_climbed and kind[hi_p[1]] == PAIR and hi[0] != hi_p[0]
-        if r_empty:
-            r_run = None
-            hi_next = hi_p
-        else:
-            e = ahead(nav, hi, False) + 1 if hi_climbed else 1
-            r_run = Run(hi[1], e)
-            hi_next = step(nav, hi_p, k + 1, False)
-
+        l_run, lo_next = _pop(nav, lo, lo_p, k, True, kind)
+        r_run, hi_next = _pop(nav, hi, hi_p, k, False, kind)
         left.append(l_run)
         right.append(r_run)
-        left_exp.append(left_exp[-1] + (l_run.exponent * explen[l_run.sym] if l_run else 0))
-        right_exp.append(right_exp[-1] + (r_run.exponent * explen[r_run.sym] if r_run else 0))
-
         if l_run is not None and r_run is not None and (
                 lo_next is None or lo_next[0] == hi_p[0]):
             # both boundary blocks popped and they were adjacent: nothing remains
-            q = k
             break
-
-        assert lo_next is not None and hi_next is not None
+        if lo_next is None or hi_next is None:
+            raise InternalInvariantError("boundary walk left the text with symbols remaining")
         lo, hi = lo_next, hi_next
-        k += 1
-        assert k <= g.rounds + 1, "popped sequence exceeded the round count"
+    else:
+        raise InternalInvariantError("popped sequence exceeded the round count")
 
-    assert left_exp[-1] + right_exp[-1] == x_end - x_start
-    return PoppedSeq(left=left, right=right, q=q, left_exp=left_exp, right_exp=right_exp)
+    left_exp = list(accumulate((r.exponent * explen[r.sym] if r else 0 for r in left), initial=0))
+    right_exp = list(accumulate((r.exponent * explen[r.sym] if r else 0 for r in right), initial=0))
+    if left_exp[-1] + right_exp[-1] != x_end - x_start:
+        raise InternalInvariantError("popped sequence does not expand to the fragment")
+    return PoppedSeq(left=left, right=right, q=k, left_exp=left_exp, right_exp=right_exp)

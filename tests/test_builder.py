@@ -48,6 +48,18 @@ def test_shrink_rle_mixed():
     assert out.symbols == [t.find_power(a, 2), t.find_power(b, 3), a]
 
 
+def test_shrink_rounds_have_their_parity():
+    t = SymbolTable()
+    a, b = t.intern_terminal("a"), t.intern_terminal("b")
+    with pytest.raises(BadLevelError):
+        shrink_rle(LevelString(1, [a, a, b]), 2, t)
+    with pytest.raises(BadLevelError):  # not the round after the level
+        shrink_rle(LevelString(0, [a, a, b]), 3, t)
+    with pytest.raises(BadLevelError):
+        shrink_pc(LevelString(0, [a, b]), 1, Partition({a: LEFT, b: RIGHT}), t)
+    assert len(t) == 2
+
+
 def test_shrink_pc_single_pair():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")

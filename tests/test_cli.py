@@ -138,6 +138,47 @@ def test_load_rejects_corruption(tmp_path):
         load_index(str(bad))
 
 
+def _edited_index(tmp_path, old, new):
+    """The abracadabraabracadabra index (seed 0) with one edit made."""
+    path = _build_index(tmp_path, "abracadabraabracadabra")
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+def _assert_rejected(path, match, capsys):
+    with pytest.raises(IndexFormatError, match=match):
+        load_index(str(path))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--index", str(path), "ipm", "0", "11", "0", "21"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_load_rejects_rounds_other_than_start_level(tmp_path, capsys):
+    path = _edited_index(tmp_path, " rounds=34 ", " rounds=1 ")
+    _assert_rejected(path, "rounds=1 does not match", capsys)
+
+
+def test_load_rejects_pair_on_odd_level(tmp_path, capsys):
+    path = _edited_index(tmp_path, "\n6 P 2 0 2\n", "\n6 P 2 0 3\n")
+    _assert_rejected(path, "pair on odd level 3 on line 7", capsys)
+
+
+def test_load_rejects_power_on_even_level(tmp_path, capsys):
+    path = _edited_index(tmp_path, "\n5 R 0 2 1\n", "\n5 R 0 2 2\n")
+    _assert_rejected(path, "power on even level 2 on line 6", capsys)
+
+
+def test_load_rejects_seed_out_of_range(tmp_path, capsys):
+    for seed in (-1, 1 << 64):
+        path = _edited_index(tmp_path, " seed=0 ", f" seed={seed} ")
+        _assert_rejected(path, "outside", capsys)
+
+
 def test_roundtrip_answers_match(tmp_path):
     rng = random.Random(97)
     for trial in range(12):

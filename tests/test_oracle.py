@@ -58,5 +58,5 @@ def test_naive_pseq_identity_and_ell():
 
 def test_oracle_refuses_big_texts():
     g = build("a" * 600, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(OutOfRangeError):
         naive_pseq_levels(g, 0, 600)

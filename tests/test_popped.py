@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from rlslp.builder import build, level_string
-from rlslp.errors import EmptyFragmentError, OutOfRangeError
+from rlslp.errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
 from rlslp.navigator import Navigator
 from rlslp.oracle import naive_pseq_levels
 from rlslp.popped import pseq
@@ -36,6 +37,13 @@ def test_errors():
         pseq(g, 1, 1)
     with pytest.raises(OutOfRangeError):
         pseq(g, 0, 4)
+
+
+def test_round_count_exceeded_is_typed_internal_error():
+    g = build("abracadabraabracadabra", 0)
+    assert g.rounds > 1
+    with pytest.raises(InternalInvariantError, match="round count"):
+        pseq(dataclasses.replace(g, rounds=0), 0, g.text_len)
 
 
 def test_exhaustive_small_fragments_against_oracle():
