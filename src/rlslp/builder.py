@@ -1,13 +1,14 @@
 """Recompression grammar construction.
 
-Builds an r-round grammar over a text by alternating two shrink passes:
-odd rounds collapse maximal runs of equal adjacent symbols into power
-productions, even rounds draw a random left/right classification of the
+Builds an r-round grammar over a text by alternating two shrink passes,
+each taking a level string one level up (round = level + 1): odd rounds
+collapse maximal runs of equal adjacent symbols into power productions,
+even rounds draw a random ``{sym: LEFT or RIGHT}`` classification of the
 live symbols and merge every left symbol immediately followed by a right
 symbol into a pair production.  Rounds repeat until the level string has
 length one; a round that changes nothing still counts.
 
-The coin stream is a counter-based mix of (seed, level, first-occurrence
+The coin stream is a counter-based mix of (seed, round, first-occurrence
 rank of the symbol), so the construction is bit-reproducible for a fixed
 (text, seed) regardless of platform or interning order.
 """
@@ -52,32 +53,27 @@ class LevelString:
     symbols: list[int]
 
 
-@dataclass
-class Partition:
-    """Left/right classification of the symbols of one level string."""
-    classes: dict[int, str]
-
-
-def draw_partition(s: LevelString, k: int, seed: int) -> Partition:
-    """Classify each distinct symbol of ``s`` with a fair coin.
+def draw_partition(s: LevelString, seed: int) -> dict[int, str]:
+    """Classify each distinct symbol of ``s`` as LEFT or RIGHT with a fair coin.
 
     Symbols are ranked by first occurrence, and each gets an independent
-    deterministic coin keyed by (seed, k, rank).
+    deterministic coin keyed by (seed, ``s.level + 1``, rank).
     """
+    k = s.level + 1
     classes: dict[int, str] = {}
     rank = 0
     for sym in s.symbols:
         if sym not in classes:
             classes[sym] = LEFT if _coin(seed, k, rank) else RIGHT
             rank += 1
-    return Partition(classes)
+    return classes
 
 
-def shrink_rle(s: LevelString, k: int, table: SymbolTable) -> LevelString:
-    """Collapse maximal runs of equal adjacent symbols into powers at level ``k``."""
-    if k != s.level + 1 or k % 2 == 0:
-        raise BadLevelError(f"run compression at round {k} after level {s.level}: "
-                            "needs the next round, and an odd one")
+def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
+    """Collapse maximal runs of equal adjacent symbols into powers, one level up."""
+    k = s.level + 1
+    if k % 2 == 0:
+        raise BadLevelError(f"run compression after level {s.level}: needs an odd round")
     syms = s.symbols
     out: list[int] = []
     i = 0
@@ -94,16 +90,15 @@ def shrink_rle(s: LevelString, k: int, table: SymbolTable) -> LevelString:
     return LevelString(k, out)
 
 
-def shrink_pc(s: LevelString, k: int, p: Partition, table: SymbolTable) -> LevelString:
-    """Merge every left symbol followed by a right symbol into a pair at level ``k``.
+def shrink_pc(s: LevelString, classes: dict[int, str], table: SymbolTable) -> LevelString:
+    """Merge every left symbol followed by a right symbol into a pair, one level up.
 
     Left/right disjointness means pair blocks never chain, so the local
     boundary rule and the left-to-right greedy scan agree.
     """
-    if k != s.level + 1 or k % 2 == 1:
-        raise BadLevelError(f"pair compression at round {k} after level {s.level}: "
-                            "needs the next round, and an even one")
-    classes = p.classes
+    k = s.level + 1
+    if k % 2 == 1:
+        raise BadLevelError(f"pair compression after level {s.level}: needs an even round")
     syms = s.symbols
     out: list[int] = []
     i = 0
@@ -139,11 +134,10 @@ def build(text: str, seed: int = 0) -> Grammar:
         table = SymbolTable()
         cur = LevelString(0, [table.intern_terminal(ch) for ch in text])
         while len(cur.symbols) > 1 and cur.level < cap:
-            k = cur.level + 1
-            if k % 2 == 1:
-                cur = shrink_rle(cur, k, table)
+            if cur.level % 2 == 0:
+                cur = shrink_rle(cur, table)
             else:
-                cur = shrink_pc(cur, k, draw_partition(cur, k, use_seed), table)
+                cur = shrink_pc(cur, draw_partition(cur, use_seed), table)
         if len(cur.symbols) == 1:
             return Grammar(table=table, start=cur.symbols[0], rounds=cur.level,
                            seed=use_seed, text_len=n)
@@ -177,8 +171,8 @@ def level_string(g: Grammar, k: int) -> LevelString:
     return LevelString(k, out)
 
 
-def partition_for_level(g: Grammar, k: int) -> Partition:
+def partition_for_level(g: Grammar, k: int) -> dict[int, str]:
     """Replay the partition the builder drew for even round ``k``."""
     if not (2 <= k <= g.rounds and k % 2 == 0):
         raise BadLevelError(f"no partition at level {k}")
-    return draw_partition(level_string(g, k - 1), k, g.seed)
+    return draw_partition(level_string(g, k - 1), g.seed)

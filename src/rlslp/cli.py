@@ -5,10 +5,11 @@ by one line per symbol in id order, so a build is byte-reproducible for a
 fixed (text, seed).  Text is read as raw bytes mapped to codepoints 0-255
 unless --utf8 is given.
 
-Exit codes: 0 success, 2 malformed arguments or unreadable/invalid input
-(an index whose header or levels disagree with its symbols included), 3
-for out-of-range positions or an IPM ratio violation, 4 when a query fails
-an internal consistency check (a bug; the message names the check).
+Exit codes: 0 success, 2 malformed arguments (a bad selftest option
+included) or unreadable/invalid input (an index whose header or levels
+disagree with its symbols included), 3 for out-of-range positions or an
+IPM ratio violation, 4 when a query fails an internal consistency check
+(a bug; the message names the check).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .errors import IndexFormatError, InternalInvariantError, RlslpError
 from .extension import lce, rev_lce
 from .grammar import PAIR, POWER, TERMINAL, Grammar, SymbolTable
 from .ipm import ipm_query, proxy_pattern, rle_match
-from .oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce, naive_rle_match
-from .popped import Run, pseq
+from .oracle import (_ORACLE_CAP, naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce,
+                     naive_rle_match)
+from .popped import pseq
 
 MAGIC = "RLSLP1"
 FORMAT_VERSION = 1
@@ -90,15 +92,11 @@ def load_index(path: str) -> Grammar:
                 got = table.intern_terminal(int(parts[2]))
             elif tag == "P" and len(parts) == 5:
                 b, c, level = int(parts[2]), int(parts[3]), int(parts[4])
-                if b >= sid or c >= sid:
-                    raise IndexFormatError(f"forward reference on line {lineno + 1}")
                 if level % 2:
                     raise IndexFormatError(f"pair on odd level {level} on line {lineno + 1}")
                 got = table.intern_pair(b, c, level)
             elif tag == "R" and len(parts) == 5:
                 b, m, level = int(parts[2]), int(parts[3]), int(parts[4])
-                if b >= sid:
-                    raise IndexFormatError(f"forward reference on line {lineno + 1}")
                 if level % 2 == 0:
                     raise IndexFormatError(f"power on even level {level} on line {lineno + 1}")
                 got = table.intern_power(b, m, level)
@@ -108,9 +106,9 @@ def load_index(path: str) -> Grammar:
                 raise IndexFormatError(f"duplicate symbol on line {lineno + 1}")
     except (ValueError, IndexError):
         raise IndexFormatError(f"bad record on line {lineno + 1}") from None
+    except IndexFormatError:
+        raise
     except RlslpError as exc:
-        if isinstance(exc, IndexFormatError):
-            raise
         raise IndexFormatError(f"invalid symbol on line {lineno + 1}: {exc}") from None
 
     start = fields["start"]
@@ -228,7 +226,7 @@ def _selftest_case(rng: random.Random, max_len: int, sigma: int, case_seed: int)
     x = rng.randrange(n)
     x2 = rng.randint(x + 1, n)
     ps = pseq(g, x, x2)
-    rebuilt = "".join(g.expand(r.sym) * r.exponent for r in ps.runs())
+    rebuilt = "".join(g.expand(sym) * e for sym, e in ps.runs())
     if rebuilt != text[x:x2]:
         return ctx("pseq expansion mismatch", f"x={x} x2={x2} got={rebuilt!r}")
     npp = naive_pseq_levels(g, x, x2)
@@ -248,7 +246,7 @@ def _selftest_case(rng: random.Random, max_len: int, sigma: int, case_seed: int)
             sym = rng.randrange(3)
             if sym == last:
                 continue
-            runs.append(Run(sym, rng.randint(1, 4)))
+            runs.append((sym, rng.randint(1, 4)))
             last = sym
         return runs
 
@@ -274,7 +272,20 @@ def _selftest_case(rng: random.Random, max_len: int, sigma: int, case_seed: int)
 
 
 def _cmd_selftest(args) -> int:
-    sigmas = [int(s) for s in args.alphabet.split(",") if s]
+    try:
+        sigmas = [int(s) for s in args.alphabet.split(",") if s]
+    except ValueError:
+        sigmas = []
+    top = 0x110000 - ord("a")  # texts are drawn from chr(ord("a") + i), i < size
+    if not sigmas or not all(1 <= s <= top for s in sigmas):
+        print(f"error: --alphabet {args.alphabet!r} needs sizes in [1, {top}]", file=sys.stderr)
+        return 2
+    if args.trials < 0:
+        print(f"error: --trials {args.trials} is negative", file=sys.stderr)
+        return 2
+    if not 1 <= args.max_len <= _ORACLE_CAP:
+        print(f"error: --max-len {args.max_len} outside [1, {_ORACLE_CAP}]", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     for trial in range(args.trials):
         sigma = sigmas[trial % len(sigmas)]

@@ -49,9 +49,8 @@ class IndexFormatError(RlslpError):
     """Serialized index file is malformed."""
 
 
-class InternalInvariantError(RlslpError, AssertionError):
+class InternalInvariantError(RlslpError):
     """An internal consistency check failed: a bug, not bad input.
 
-    Also an AssertionError, so it reads as the failed check it is, but it is
-    raised explicitly and does not vanish under ``python -O``.
+    Raised explicitly, so it does not vanish under ``python -O``.
     """

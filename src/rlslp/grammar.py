@@ -16,6 +16,7 @@ from .errors import (
     BadExponentError,
     BadLevelError,
     EqualChildrenError,
+    OutOfRangeError,
     UnknownSymbolError,
 )
 
@@ -67,6 +68,8 @@ class SymbolTable:
         cp = ord(ch) if isinstance(ch, str) else int(ch)
         sid = self._terminals.get(cp)
         if sid is None:
+            if not 0 <= cp < 0x110000:
+                raise OutOfRangeError(f"codepoint {cp} outside [0, 0x110000)")
             sid = self._append(TERMINAL, cp, 0, 0, 1)
             self._terminals[cp] = sid
         return sid

@@ -152,8 +152,8 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
         for run in (ps.left[k], ps.right[k]):
             if run is None:
                 continue
-            buckets[lvl[run.sym]].append(run)
-            size += run.exponent
+            buckets[lvl[run[0]]].append(run)
+            size += run[1]
             if size > k:
                 stop = True
                 break
@@ -187,9 +187,9 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
     def emit(sym: int, mult: int) -> None:
         if lvl[sym] <= level:
             if out and out[-1][0] == sym:
-                out[-1] = Run(sym, out[-1][1] + mult)
+                out[-1] = (sym, out[-1][1] + mult)
             else:
-                out.append(Run(sym, mult))
+                out.append((sym, mult))
         elif kind[sym] == POWER:
             emit(t.arg0[sym], t.arg1[sym] * mult)
         else:
@@ -199,7 +199,7 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
 
     for run in (*ps.left[level:], *reversed(ps.right[level:])):
         if run is not None:
-            emit(run.sym, run.exponent)
+            emit(*run)
     if len(out) > 2 * level + 4:
         raise InternalInvariantError("proxy pattern has more runs than its level allows")
 
@@ -335,9 +335,9 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
             k = hi - lo + 1
             end = first + k * w
             if out and out[-1][0] == sym:
-                out[-1] = Run(sym, out[-1][1] + k)
+                out[-1] = (sym, out[-1][1] + k)
             else:
-                out.append(Run(sym, k))
+                out.append((sym, k))
             exp_len += k * w
             sym_len += k
     return ProxyText(rle=tuple(out), text_start=text_start,
@@ -396,8 +396,8 @@ def rle_match(pattern: Sequence[Run], seq: Sequence[Run]) -> list[Progression]:
             return
         ls, le = seq[u - 1]
         rs, re = seq[j]
-        if ls == first.sym and le >= first.exponent and rs == last.sym and re >= last.exponent:
-            occs.append(prefix[u] - first.exponent)
+        if ls == first[0] and le >= first[1] and rs == last[0] and re >= last[1]:
+            occs.append(prefix[u] - first[1])
 
     if interior:
         pi = _failure(interior)

@@ -10,6 +10,7 @@ texts longer than 512 characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .builder import LEFT, RIGHT, level_string, partition_for_level
 from .errors import InternalInvariantError, OutOfRangeError
@@ -120,7 +121,7 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
         shrink_round = k + 1
         classes = None
         if shrink_round % 2 == 0 and len(cur) > 1:
-            classes = partition_for_level(g, shrink_round).classes
+            classes = partition_for_level(g, shrink_round)
         blocks = _blocks(cur, shrink_round, classes)
 
         def two_distinct(block: tuple[int, int]) -> bool:
@@ -207,12 +208,7 @@ def naive_proxy_text(g: Grammar, y: int, y2: int, pp) -> tuple[tuple, int, int, 
     window = pp.sym_len + level - 1
     kept = [(s, pos) for i, (s, pos) in enumerate(syms)
             if abs(i - mi) <= window and y <= pos and pos + t.explen[s] <= y2]
-    rle: list[tuple[int, int]] = []
-    for s, _ in kept:
-        if rle and rle[-1][0] == s:
-            rle[-1] = (s, rle[-1][1] + 1)
-        else:
-            rle.append((s, 1))
+    rle = [(sym, len(list(run))) for sym, run in groupby(s for s, _ in kept)]
     text_start = kept[0][1] if kept else y
     exp_len = sum(t.explen[s] for s, _ in kept)
     return tuple(rle), text_start, exp_len, len(kept)

@@ -3,35 +3,31 @@
 Virtually recompressing a fragment X in isolation pops, at each level k, a
 leading block L_k and a trailing block R_k off the shrinking symbol string.
 Each popped block is a power of a single symbol, so the whole
-decomposition is run-length encoded, and concatenating the expansions of
-L_0..L_q, R_q..R_0 reconstitutes X.  The computation walks the two
-boundary nodes of the fragment's induced occurrence level by level, in
-O(r) cursor moves, without materializing any level string: one pop move,
-run forward for L_k and backward for R_k.
+decomposition is run-length encoded as ``(sym, exponent)`` tuples, and
+concatenating the expansions of L_0..L_q, R_q..R_0 reconstitutes X.  The
+computation walks the two boundary nodes of the fragment's induced
+occurrence level by level, in O(r) cursor moves, without materializing any
+level string: one pop move, run forward for L_k and backward for R_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
 from .grammar import PAIR, Grammar
 from .navigator import Cursor, Navigator, ahead, leaf, step, up
 
 
-class Run(NamedTuple):
-    """A maximal run ``sym^exponent`` inside a run-length encoded sequence."""
-    sym: int
-    exponent: int
+Run = tuple  # (sym, exponent): the run sym^exponent of a run-length encoding
 
 
 @dataclass
 class PoppedSeq:
     """Popped sequence of a fragment, decomposed by level.
 
-    ``left[k]``/``right[k]`` hold L_k/R_k as single runs (None when empty).
+    ``left[k]``/``right[k]`` hold L_k/R_k as ``(sym, exponent)`` runs (None when empty).
     ``left_exp[k]`` is the expansion length of L_0..L_{k-1}; ``right_exp[k]``
     that of R_{k-1}..R_0 (both indexed 0..q+1).
     """
@@ -59,10 +55,10 @@ def _pop(nav: Navigator, v: Cursor, v_p: Cursor, k: int, forward: bool,
     boundary node at level k+1 (None past the end of the text).
     """
     if v_p is v:  # a subdivided edge: v is a block of its own
-        return Run(v[1], 1), step(nav, v, k + 1, forward)
+        return (v[1], 1), step(nav, v, k + 1, forward)
     if kind[v_p[1]] == PAIR and (v[0] == v_p[0]) == forward:
         return None, v_p
-    return Run(v[1], ahead(nav, v, forward) + 1), step(nav, v_p, k + 1, forward)
+    return (v[1], ahead(nav, v, forward) + 1), step(nav, v_p, k + 1, forward)
 
 
 def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> PoppedSeq:
@@ -95,7 +91,7 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
         if lo_p[0] == hi_p[0] and not (lo_p is not lo and lo[0] == lo_p[0]
                                        and lo[0] != hi[0] and kind[lo_p[1]] == PAIR):
             e = ahead(nav, hi, False) - ahead(nav, lo, False) + 1 if lo_p is not lo else 1
-            left.append(Run(lo[1], e))
+            left.append((lo[1], e))
             right.append(None)
             break
 
@@ -113,8 +109,8 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
     else:
         raise InternalInvariantError("popped sequence exceeded the round count")
 
-    left_exp = list(accumulate((r.exponent * explen[r.sym] if r else 0 for r in left), initial=0))
-    right_exp = list(accumulate((r.exponent * explen[r.sym] if r else 0 for r in right), initial=0))
+    left_exp = list(accumulate((r[1] * explen[r[0]] if r else 0 for r in left), initial=0))
+    right_exp = list(accumulate((r[1] * explen[r[0]] if r else 0 for r in right), initial=0))
     if left_exp[-1] + right_exp[-1] != x_end - x_start:
         raise InternalInvariantError("popped sequence does not expand to the fragment")
     return PoppedSeq(left=left, right=right, q=k, left_exp=left_exp, right_exp=right_exp)

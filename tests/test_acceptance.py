@@ -15,7 +15,7 @@ from rlslp.ipm import ipm_query, rle_match
 from rlslp.navigator import Navigator
 from rlslp.oracle import (naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce,
                           naive_rle_match)
-from rlslp.popped import Run, pseq
+from rlslp.popped import pseq
 
 ALPHABETS = (1, 2, 4, 26)
 
@@ -88,15 +88,15 @@ def test_criterion_3_popped_sequence_identities():
         for x in range(n):
             for x2 in range(x + 1, n + 1):
                 ps = pseq(g, x, x2)
-                rebuilt = "".join(g.expand(r.sym) * r.exponent for r in ps.runs())
+                rebuilt = "".join(g.expand(sym) * e for sym, e in ps.runs())
                 assert rebuilt == text[x:x2]
                 # each level contributes at most one run per side by type;
                 # check the levels agree with the definitional oracle
                 ora = naive_pseq_levels(g, x, x2)
                 assert ps.q == ora.q
                 for k in range(ps.q + 1):
-                    lf = [ps.left[k].sym] * ps.left[k].exponent if ps.left[k] else []
-                    rt = [ps.right[k].sym] * ps.right[k].exponent if ps.right[k] else []
+                    lf = [ps.left[k][0]] * ps.left[k][1] if ps.left[k] else []
+                    rt = [ps.right[k][0]] * ps.right[k][1] if ps.right[k] else []
                     assert lf == ora.left[k] and rt == ora.right[k]
                 frags += 1
     _report(3, "popped-sequence identities", True,
@@ -114,7 +114,7 @@ def test_criterion_4_rle_matching_bounds():
             s = rng.randrange(nsyms)
             if s == last:
                 continue
-            runs.append(Run(s, rng.randint(1, max_exp)))
+            runs.append((s, rng.randint(1, max_exp)))
             last = s
         return runs
 

@@ -5,7 +5,6 @@ from rlslp.builder import (
     LEFT,
     RIGHT,
     LevelString,
-    Partition,
     build,
     draw_partition,
     level_string,
@@ -30,21 +29,21 @@ def _terminals(table, s):
 def test_shrink_rle_groups_maximal_runs():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_rle(LevelString(0, [a, a, a, b]), 1, t)
+    out = shrink_rle(LevelString(0, [a, a, a, b]), t)
     assert out.symbols == [t.find_power(a, 3), b]
 
 
 def test_shrink_rle_no_runs_unchanged():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_rle(LevelString(0, [a, b, a]), 1, t)
+    out = shrink_rle(LevelString(0, [a, b, a]), t)
     assert out.symbols == [a, b, a]
 
 
 def test_shrink_rle_mixed():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_rle(LevelString(0, [a, a, b, b, b, a]), 1, t)
+    out = shrink_rle(LevelString(0, [a, a, b, b, b, a]), t)
     assert out.symbols == [t.find_power(a, 2), t.find_power(b, 3), a]
 
 
@@ -52,11 +51,9 @@ def test_shrink_rounds_have_their_parity():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     with pytest.raises(BadLevelError):
-        shrink_rle(LevelString(1, [a, a, b]), 2, t)
-    with pytest.raises(BadLevelError):  # not the round after the level
-        shrink_rle(LevelString(0, [a, a, b]), 3, t)
+        shrink_rle(LevelString(1, [a, a, b]), t)
     with pytest.raises(BadLevelError):
-        shrink_pc(LevelString(0, [a, b]), 1, Partition({a: LEFT, b: RIGHT}), t)
+        shrink_pc(LevelString(0, [a, b]), {a: LEFT, b: RIGHT}, t)
     assert len(t) == 2
 
 
@@ -64,22 +61,21 @@ def test_shrink_pc_single_pair():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     s = LevelString(1, [a, b])
-    out = shrink_pc(s, 2, Partition({a: LEFT, b: RIGHT}), t)
+    out = shrink_pc(s, {a: LEFT, b: RIGHT}, t)
     assert out.symbols == [t.find_pair(a, b)]
 
 
 def test_shrink_pc_wrong_orientation_unchanged():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_pc(LevelString(1, [a, b]), 2, Partition({a: RIGHT, b: LEFT}), t)
+    out = shrink_pc(LevelString(1, [a, b]), {a: RIGHT, b: LEFT}, t)
     assert out.symbols == [a, b]
 
 
 def test_shrink_pc_greedy_left_to_right():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_pc(LevelString(1, [a, b, a, b, a]), 2,
-                    Partition({a: LEFT, b: RIGHT}), t)
+    out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a: LEFT, b: RIGHT}, t)
     ab = t.find_pair(a, b)
     assert out.symbols == [ab, ab, a]
 
@@ -88,26 +84,26 @@ def test_shrink_pc_unclassified_symbol():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     with pytest.raises(UnclassifiedSymbolError):
-        shrink_pc(LevelString(1, [a, b]), 2, Partition({a: LEFT}), t)
+        shrink_pc(LevelString(1, [a, b]), {a: LEFT}, t)
 
 
 def test_draw_partition_total_and_deterministic():
     t = SymbolTable()
     syms = _terminals(t, "abcabc")
-    s = LevelString(0, syms)
-    p1 = draw_partition(s, 2, 42)
-    p2 = draw_partition(s, 2, 42)
-    assert p1.classes == p2.classes
-    assert set(p1.classes) == set(syms)
-    assert len(p1.classes) == 3
-    assert all(v in (LEFT, RIGHT) for v in p1.classes.values())
+    s = LevelString(1, syms)
+    p1 = draw_partition(s, 42)
+    p2 = draw_partition(s, 42)
+    assert p1 == p2
+    assert set(p1) == set(syms)
+    assert len(p1) == 3
+    assert all(v in (LEFT, RIGHT) for v in p1.values())
 
 
 def test_draw_partition_single_symbol_total():
     t = SymbolTable()
     a = t.intern_terminal("a")
-    p = draw_partition(LevelString(0, [a, a, a]), 2, 7)
-    assert set(p.classes) == {a}
+    p = draw_partition(LevelString(1, [a, a, a]), 7)
+    assert set(p) == {a}
 
 
 def test_build_single_char():

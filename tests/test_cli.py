@@ -179,6 +179,17 @@ def test_load_rejects_seed_out_of_range(tmp_path, capsys):
         _assert_rejected(path, "outside", capsys)
 
 
+@pytest.mark.parametrize("old, new, match", [
+    ("\n6 P 2 0 2\n", "\n6 P 2 9 2\n", "line 7: symbol id 9 not in table"),
+    ("\n6 P 2 0 2\n", "\n6 P -1 0 2\n", "line 7: symbol id -1 not in table"),
+    ("\n5 R 0 2 1\n", "\n5 R 7 2 1\n", "line 6: symbol id 7 not in table"),
+    ("\n0 T 97\n", "\n0 T -5\n", "line 1: codepoint -5 outside"),
+], ids=["pair-forward-reference", "pair-negative-child", "power-forward-reference",
+        "negative-codepoint"])
+def test_load_rejects_bad_record(tmp_path, capsys, old, new, match):
+    _assert_rejected(_edited_index(tmp_path, old, new), match, capsys)
+
+
 def test_roundtrip_answers_match(tmp_path):
     rng = random.Random(97)
     for trial in range(12):
@@ -224,3 +235,19 @@ def test_selftest_reproducible(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("option", [
+    ["--max-len", "2000"],
+    ["--max-len", "0"],
+    ["--alphabet", ""],
+    ["--alphabet", "0"],
+    ["--alphabet", "x"],
+    ["--trials", "-5"],
+    ["--alphabet", "2000000"],
+])
+def test_selftest_rejects_bad_option(capsys, option):
+    assert main(["selftest", "--trials", "3", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and option[0] in captured.err
+    assert "passed" not in captured.out

@@ -45,7 +45,7 @@ def test_proxy_pattern_single_char():
     assert pp.level == 0
     assert pp.left_off == 0 and pp.right_cut == 1
     assert pp.sym_len == 1 and pp.exp_len == 1
-    assert g.expand(pp.rle[0].sym) == "r"
+    assert g.expand(pp.rle[0][0]) == "r"
 
 
 def test_proxy_pattern_empty_rejected():
@@ -69,7 +69,7 @@ def test_proxy_pattern_matches_oracle_level_and_window():
                 # the encoded window expands to X[left_off, right_cut)
                 assert "".join(g.expand(s) for s in flat) == text[x + pp.left_off:x + pp.right_cut]
                 # maximality of adjacent runs
-                assert all(pp.rle[i].sym != pp.rle[i + 1].sym
+                assert all(pp.rle[i][0] != pp.rle[i + 1][0]
                            for i in range(len(pp.rle) - 1))
 
 
@@ -289,7 +289,7 @@ def test_merge_all_materialize_fallback():
     odds = Progression.of(1, 2, 5)    # 1 3 5 7 9
     assert _merge_all([evens, odds]) == Progression.of(0, 1, 10)
     # a union that is not a progression is a bug and must raise
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalInvariantError):
         _merge_all([Progression.of(0, 2, 3), Progression.of(1, 1, 1),
                     Progression.of(9, 1, 1)])
 

@@ -13,7 +13,7 @@ from helpers import random_text, text_corpus
 
 
 def _expand_runs(g, runs):
-    return "".join(g.expand(r.sym) * r.exponent for r in runs)
+    return "".join(g.expand(sym) * e for sym, e in runs)
 
 
 def test_whole_text_reconstructs():
@@ -27,8 +27,8 @@ def test_single_character_fragment():
     ps = pseq(g, 1, 2)
     assert ps.q == 0
     assert len(ps.left) == 1 and ps.right[0] is None
-    run = ps.left[0]
-    assert run.exponent == 1 and g.expand(run.sym) == "y"
+    sym, e = ps.left[0]
+    assert e == 1 and g.expand(sym) == "y"
 
 
 def test_errors():
@@ -59,10 +59,10 @@ def test_exhaustive_small_fragments_against_oracle():
                 for k in range(ps.q + 1):
                     for got, want in ((ps.left[k], ora.left[k]),
                                       (ps.right[k], ora.right[k])):
-                        flat = [got.sym] * got.exponent if got else []
+                        flat = [got[0]] * got[1] if got else []
                         assert flat == want, (text, seed, x, x2, k)
-                # every popped block is a single run by construction
-                # of the Run type; q stays within the round count
+                # every popped block is a single (sym, exponent) run by
+                # construction; q stays within the round count
                 assert ps.q <= g.rounds + 1
 
 
@@ -87,7 +87,7 @@ def test_expansion_offsets_are_running_sums():
         assert ps.left_exp[-1] + ps.right_exp[-1] == total
         for k in range(ps.q + 1):
             lrun = ps.left[k]
-            width = lrun.exponent * g.table.explen[lrun.sym] if lrun else 0
+            width = lrun[1] * g.table.explen[lrun[0]] if lrun else 0
             assert ps.left_exp[k + 1] - ps.left_exp[k] == width
 
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from rlslp.errors import EmptyPatternError
 from rlslp.ipm import rle_match
 from rlslp.oracle import naive_rle_match
-from rlslp.popped import Run
 
 
 def _runs(*pairs):
-    return [Run(s, e) for s, e in pairs]
+    return list(pairs)
 
 
 def _positions(progs):
@@ -54,7 +53,7 @@ def _random_runs(rng, max_runs, nsyms, max_exp):
         s = rng.randrange(nsyms)
         if s == last:
             continue
-        runs.append(Run(s, rng.randint(1, max_exp)))
+        runs.append((s, rng.randint(1, max_exp)))
         last = s
     return runs
 
@@ -84,10 +83,10 @@ def test_hypothesis_random_rle(data):
     def normalize(raw):
         runs = []
         for s, e in raw:
-            if runs and runs[-1].sym == s:
-                runs[-1] = Run(s, runs[-1].exponent + e)
+            if runs and runs[-1][0] == s:
+                runs[-1] = (s, runs[-1][1] + e)
             else:
-                runs.append(Run(s, e))
+                runs.append((s, e))
         return runs
 
     pruns, sruns = normalize(raw_p), normalize(raw_s)
