@@ -6,10 +6,10 @@ fixed (text, seed).  Text is read as raw bytes mapped to codepoints 0-255
 unless --utf8 is given.
 
 Exit codes: 0 success, 2 malformed arguments (a bad selftest option
-included) or unreadable/invalid input (an index whose header or levels
-disagree with its symbols included), 3 for out-of-range positions or an
-IPM ratio violation, 4 when a query fails an internal consistency check
-(a bug; the message names the check).
+included), unreadable/invalid input (an index whose header or levels
+disagree with its symbols included) or an index that cannot be written,
+3 for out-of-range positions or an IPM ratio violation, 4 when a query
+fails an internal consistency check (a bug; the message names the check).
 """
 
 from __future__ import annotations
@@ -149,7 +149,11 @@ def _cmd_build(args) -> int:
         print("error: input text is empty", file=sys.stderr)
         return 2
     g = build(text, args.seed)
-    save_index(g, args.output)
+    try:
+        save_index(g, args.output)
+    except OSError as exc:
+        print(f"error: cannot write index: {exc}", file=sys.stderr)
+        return 2
     print(f"built index: {len(g.table)} symbols, {g.rounds} rounds, "
           f"text_len {g.text_len}, seed {g.seed}")
     return 0

@@ -16,7 +16,8 @@ progression of start positions.  The pipeline:
 3. Match the two run-length encoded symbol sequences, producing O(1)
    candidate progressions.
 4. Verify each progression with a constant number of LCE queries, using
-   periodicity to accept or reject whole progressions at once.
+   periodicity to accept or reject whole progressions at once, and fold
+   the verified parts into the one answer progression.
 
 Everything runs in O(r) node operations per query.
 """
@@ -37,11 +38,6 @@ from .extension import lce, rev_lce
 from .grammar import POWER, Grammar
 from .navigator import Navigator, leaf, step, up
 from .popped import PoppedSeq, Run, pseq
-
-# Bound on materializing positions while merging progressions whose shapes
-# do not combine arithmetically; beyond this the merge is considered a bug.
-_MERGE_MATERIALIZE_CAP = 1 << 18
-
 
 @dataclass(frozen=True)
 class Progression:
@@ -124,9 +120,11 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
     """Compute the proxy level and the run-length encoding of the shrunken pattern.
 
     The level is found by sweeping the popped sequence from the deepest
-    level downward, maintaining the symbol multiset size of the shrunken
-    pattern in a bucket queue keyed by symbol level and stopping as soon as
-    the size exceeds the level.  One pass then expands L_level..L_q,
+    level downward, keeping the shrunken pattern's symbol multiset in a
+    bucket queue keyed by symbol level.  Level k adds L_k and R_k, expands
+    every level-(k+1) symbol and then tests the size once: expanding never
+    shrinks the pattern, so the first k whose size exceeds k is the level
+    however often the size is tested.  One pass then expands L_level..L_q,
     R_q..R_level straight down to the level, merging equal neighbours.  The
     result has at most 2*level+4 runs: each of the at most level+1
     level-(level+1) symbols gives at most two, L_level and R_level one each.
@@ -143,42 +141,24 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
     # ---- locate the proxy level ----
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(q + 2)]
     size = 0
-    level = -1
-    for k in range(q, -1, -1):
-        if size > k:
-            level = k
+    for level in range(q, -1, -1):
+        for run in (ps.left[level], ps.right[level]):
+            if run is not None:
+                buckets[lvl[run[0]]].append(run)
+                size += run[1]
+        for sym, mult in buckets[level + 1]:
+            if kind[sym] == POWER:
+                b, m = t.arg0[sym], t.arg1[sym]
+                buckets[lvl[b]].append((b, m * mult))
+                size += (m - 1) * mult
+            else:
+                b, c = t.arg0[sym], t.arg1[sym]
+                buckets[lvl[b]].append((b, mult))
+                buckets[lvl[c]].append((c, mult))
+                size += mult
+        if size > level:
             break
-        stop = False
-        for run in (ps.left[k], ps.right[k]):
-            if run is None:
-                continue
-            buckets[lvl[run[0]]].append(run)
-            size += run[1]
-            if size > k:
-                stop = True
-                break
-        if not stop:
-            pending = buckets[k + 1]
-            buckets[k + 1] = []
-            while pending:
-                sym, mult = pending.pop()
-                size -= mult
-                if kind[sym] == POWER:
-                    b, m = t.arg0[sym], t.arg1[sym]
-                    buckets[lvl[b]].append((b, m * mult))
-                    size += m * mult
-                else:
-                    b, c = t.arg0[sym], t.arg1[sym]
-                    buckets[lvl[b]].append((b, mult))
-                    buckets[lvl[c]].append((c, mult))
-                    size += 2 * mult
-                if size > k:
-                    stop = True
-                    break
-        if stop:
-            level = k
-            break
-    if level < 0:
+    else:
         raise InternalInvariantError("proxy level not found: the pattern cannot be empty")
 
     # ---- expand the popped runs straight down to the level ----
@@ -227,7 +207,8 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     first of:
 
     (a) a block starting at or before y (backward) or ending at or after
-        y2 (forward): blocks further out lie outside Y;
+        y2 (forward): blocks further out lie outside Y.  As 0 <= y and
+        y2 <= n, this also keeps the walk from stepping off the text;
     (b) blocks holding window level-``level`` symbols in all: blocks
         further out lie beyond the trim width;
     (c) 2*level+2 blocks.
@@ -249,11 +230,7 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
         if k + 1 == level:
             m_node = v
 
-    # the block of T[m] at level+1 and up to `radius` blocks to either side.
-    # A side's walk also stops once its last block reaches Y's end on that
-    # side, or once its blocks hold `window` level-`level` symbols: every
-    # further block then lies outside Y, or more than `window` symbols from
-    # m_node, and the trim below would drop all of it.
+    # the block of T[m] at level+1 and the blocks rules (a)-(c) keep beside it
     top = level + 1
     window = pp.sym_len + level - 1
     radius = 2 * level + 2
@@ -266,8 +243,6 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
             if held >= window or (cur[0] + ln[cur[1]] >= y2 if forward else cur[0] <= y):
                 break
             cur = step(nav, cur, top, forward)
-            if cur is None:
-                break
             blocks.append(cur)
             s = cur[1]
             if lvl[s] != top:
@@ -414,20 +389,17 @@ def rle_match(pattern: Sequence[Run], seq: Sequence[Run]) -> list[Progression]:
         for u in range(1, len(seq)):
             check(u)
 
-    # greedy grouping into progressions with difference <= plen
-    out = []
-    i = 0
-    while i < len(occs):
-        if i + 1 < len(occs) and occs[i + 1] - occs[i] <= plen:
-            d = occs[i + 1] - occs[i]
-            j = i + 1
-            while j + 1 < len(occs) and occs[j + 1] - occs[j] == d:
-                j += 1
-            out.append(Progression.of(occs[i], d, j - i + 1))
-            i = j + 1
-        else:
-            out.append(Progression.of(occs[i], 1, 1))
-            i += 1
+    # greedy grouping into progressions with difference <= plen: each
+    # occurrence extends the last progression if it is its next term
+    out: list[Progression] = []
+    for o in occs:
+        if out:
+            p = out[-1]
+            d = o - p.start if p.count == 1 else p.diff
+            if o - p.last == d and d <= plen:
+                out[-1] = Progression.of(p.start, d, p.count + 1)
+                continue
+        out.append(Progression.of(o, 1, 1))
     return out
 
 
@@ -500,50 +472,32 @@ def verify_progression(g: Grammar, v: Progression, gstep: int, pp: ProxyPattern,
     return EMPTY_PROGRESSION
 
 
-def _merge_two(p: Progression, q: Progression) -> Progression | None:
-    """Union of two progressions when it is itself a progression, else None."""
-    if q.start < p.start:
-        p, q = q, p
-    if p.count == 1 and q.count == 1:
-        if p.start == q.start:
-            return p
-        return Progression.of(p.start, q.start - p.start, 2)
-    if p.count == 1:
-        d = q.diff
-    elif q.count == 1 or p.diff == q.diff:
-        d = p.diff
-    else:
-        return None
-    if (q.start - p.start) % d != 0 or q.start > p.last + d:
-        return None
-    last = max(p.last, q.last)
-    return Progression.of(p.start, d, (last - p.start) // d + 1)
-
-
 def _merge_all(parts: list[Progression]) -> Progression:
-    parts = [p for p in parts if p.count > 0]
-    if not parts:
-        return EMPTY_PROGRESSION
-    parts.sort(key=lambda p: p.start)
-    acc = parts[0]
+    """Fold the verified parts, sorted by start, into the one answer progression.
+
+    Every occurrence of X covers the middle of Y, so the answer is one
+    progression and each verified part is a run of consecutive terms of it.
+    A part with two or more terms has the answer's difference.  An
+    occurrence between two parts would induce a proxy occurrence between
+    two consecutive ``rle_match`` occurrences, so the fold never meets a
+    gap; a misaligned part, another difference or a gap is a bug.
+    """
+    parts = sorted((p for p in parts if p.count), key=lambda p: p.start)
+    acc = parts[0] if parts else EMPTY_PROGRESSION
     for p in parts[1:]:
-        merged = _merge_two(acc, p)
-        if merged is None:
-            break
-        acc = merged
-    else:
-        return acc
-    # shapes did not combine arithmetically; materialize and re-check
-    total = sum(p.count for p in parts)
-    if total > _MERGE_MATERIALIZE_CAP:
-        raise InternalInvariantError("occurrence union too large to verify as one progression")
-    positions = sorted({pos for p in parts for pos in p.positions()})
-    if len(positions) == 1:
-        return Progression.of(positions[0], 1, 1)
-    d = positions[1] - positions[0]
-    if any(positions[i + 1] - positions[i] != d for i in range(len(positions) - 1)):
-        raise InternalInvariantError("occurrences do not form a single arithmetic progression")
-    return Progression.of(positions[0], d, len(positions))
+        if acc.count >= 2:
+            d = acc.diff
+        elif p.count >= 2:
+            d = p.diff
+        elif p.start == acc.start:
+            continue
+        else:
+            d = p.start - acc.start
+        if (p.count >= 2 and p.diff != d) or (p.start - acc.start) % d != 0 \
+                or p.start > acc.last + d:
+            raise InternalInvariantError("occurrences do not form a single arithmetic progression")
+        acc = Progression.of(acc.start, d, (max(acc.last, p.last) - acc.start) // d + 1)
+    return acc
 
 
 def ipm_query(g: Grammar, x: int, x2: int, y: int, y2: int,
@@ -569,10 +523,8 @@ def ipm_query(g: Grammar, x: int, x2: int, y: int, y2: int,
     pt = proxy_text(g, y, y2, pp, nav)
     if pt.sym_len < pp.sym_len:
         return EMPTY_PROGRESSION
-    results = []
+    parts = []
     for vl in rle_match(pp.rle, pt.rle):
         v, gstep = lift_progression(g, vl, pt, pp)
-        verified = verify_progression(g, v, gstep, pp, x, x2, y, y2, nav)
-        if verified.count:
-            results.append(verified)
-    return _merge_all(results)
+        parts.append(verify_progression(g, v, gstep, pp, x, x2, y, y2, nav))
+    return _merge_all(parts)

@@ -46,6 +46,14 @@ def test_build_unreadable_input_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_build_unwritable_output_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.idx"
+    assert main(["build", "--text", "abc", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write index:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_build_from_file_roundtrips_bytes(tmp_path):
     data = bytes(range(256)) * 3
     src = tmp_path / "input.bin"

@@ -14,7 +14,6 @@ from rlslp.ipm import (
     EMPTY_PROGRESSION,
     Progression,
     _merge_all,
-    _merge_two,
     ipm_query,
     lift_progression,
     proxy_pattern,
@@ -151,6 +150,9 @@ def test_proxy_text_matches_exact_window_oracle():
             pt = proxy_text(g, y, y2, pp)
             assert (pt.rle, pt.text_start, pt.exp_len, pt.sym_len) == \
                 naive_proxy_text(g, y, y2, pp), (text, seed, (x, x2), (y, y2))
+            # runs are maximal: no two neighbours share a symbol
+            for rle in (pp.rle, pt.rle):
+                assert all(a[0] != b[0] for a, b in zip(rle, rle[1:])), (text, seed, rle)
 
 
 def test_proxy_text_empty_fragment_rejected():
@@ -267,31 +269,60 @@ def test_periodic_stress():
 def test_merge_two_shapes():
     p = Progression.of(0, 3, 4)   # 0 3 6 9
     q = Progression.of(9, 3, 2)   # 9 12: overlapping aligned
-    assert _merge_two(p, q) == Progression.of(0, 3, 5)
-    assert _merge_two(q, p) == Progression.of(0, 3, 5)
+    assert _merge_all([p, q]) == Progression.of(0, 3, 5)
+    assert _merge_all([q, p]) == Progression.of(0, 3, 5)
     # adjacent extension by a singleton
-    assert _merge_two(p, Progression.of(12, 1, 1)) == Progression.of(0, 3, 5)
-    assert _merge_two(Progression.of(-3, 1, 1), p) == Progression.of(-3, 3, 5)
-    # misaligned singleton cannot merge arithmetically
-    assert _merge_two(p, Progression.of(10, 1, 1)) is None
+    assert _merge_all([p, Progression.of(12, 1, 1)]) == Progression.of(0, 3, 5)
+    assert _merge_all([Progression.of(-3, 1, 1), p]) == Progression.of(-3, 3, 5)
+    # misaligned singleton: not one progression
+    with pytest.raises(InternalInvariantError):
+        _merge_all([p, Progression.of(10, 1, 1)])
     # gap larger than one step
-    assert _merge_two(p, Progression.of(15, 3, 2)) is None
+    with pytest.raises(InternalInvariantError):
+        _merge_all([p, Progression.of(15, 3, 2)])
     # two singletons
-    assert _merge_two(Progression.of(4, 1, 1), Progression.of(4, 1, 1)) == \
+    assert _merge_all([Progression.of(4, 1, 1), Progression.of(4, 1, 1)]) == \
         Progression.of(4, 1, 1)
-    assert _merge_two(Progression.of(4, 1, 1), Progression.of(9, 1, 1)) == \
+    assert _merge_all([Progression.of(4, 1, 1), Progression.of(9, 1, 1)]) == \
         Progression.of(4, 5, 2)
 
 
-def test_merge_all_materialize_fallback():
-    # interleaved sub-progressions whose union is still one progression
+def test_merge_all_interleaved_parts_raise():
+    # verified parts are runs of consecutive answer terms, so interleaved
+    # sub-progressions never reach the fold; even when their union is one
+    # progression, meeting them is a bug
     evens = Progression.of(0, 2, 5)   # 0 2 4 6 8
     odds = Progression.of(1, 2, 5)    # 1 3 5 7 9
-    assert _merge_all([evens, odds]) == Progression.of(0, 1, 10)
+    with pytest.raises(InternalInvariantError):
+        _merge_all([evens, odds])
     # a union that is not a progression is a bug and must raise
     with pytest.raises(InternalInvariantError):
         _merge_all([Progression.of(0, 2, 3), Progression.of(1, 1, 1),
                     Progression.of(9, 1, 1)])
+
+
+def test_merge_all_folds_consecutive_runs_back():
+    rng = random.Random(97)
+    for _ in range(5000):
+        whole = Progression.of(rng.randrange(-20, 20), rng.randint(1, 6), rng.randint(1, 12))
+        terms = list(whole.positions())
+        # runs of consecutive terms, plus repeated singletons and empty parts
+        cuts = sorted(rng.sample(range(1, len(terms)), rng.randrange(len(terms))))
+        bounds = [0, *cuts, len(terms)]
+        parts = [Progression.of(terms[i], whole.diff, j - i) for i, j in zip(bounds, bounds[1:])]
+        parts += [Progression.of(rng.choice(terms), 1, 1) for _ in range(rng.randint(0, 2))]
+        parts += [EMPTY_PROGRESSION] * rng.randint(0, 2)
+        rng.shuffle(parts)
+        assert _merge_all(parts) == whole, parts
+        # without one part: the exact union or a typed error, never a wrong answer
+        for i in range(len(parts)):
+            rest = parts[:i] + parts[i + 1:]
+            union = sorted({pos for part in rest for pos in part.positions()})
+            try:
+                got = _merge_all(rest)
+            except InternalInvariantError:
+                continue
+            assert list(got.positions()) == union, rest
 
 
 def test_merge_all_non_progression_is_typed_internal_error():
