@@ -10,6 +10,12 @@ included), unreadable/invalid input (an index whose header or levels
 disagree with its symbols included) or an index that cannot be written,
 3 for out-of-range positions or an IPM ratio violation, 4 when a query
 fails an internal consistency check (a bug; the message names the check).
+
+``query --batch`` loads the index once and answers one query per stdin
+line (``lce i i2``, ``revlce i i2``, ``ipm x x2 y y2``) with one stdout
+line in the one-shot format.  A bad line gets an ``error: ...`` line (2
+for a malformed line, 3 for a query error) or an ``internal error: ...``
+line (4) and does not stop the stream; the exit code is the worst seen.
 """
 
 from __future__ import annotations
@@ -50,7 +56,13 @@ def save_index(g: Grammar, path: str) -> None:
 
 
 def load_index(path: str) -> Grammar:
-    """Parse an index file, re-interning every symbol; explen is recomputed."""
+    """Parse an index file; explen is recomputed.
+
+    Each record is checked and appended (``SymbolTable.add_*``); one local
+    dict, dropped on return, rejects a production repeated under a new id.
+    The returned table keeps no intern dicts: queries read only the
+    per-symbol arrays.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -81,6 +93,7 @@ def load_index(path: str) -> Grammar:
         raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
 
     table = SymbolTable()
+    seen: dict = {}  # codepoint or (tag, b, c) -> first id; the level is not part of the key
     try:
         for lineno, line in enumerate(lines[1:]):
             parts = line.split()
@@ -89,21 +102,27 @@ def load_index(path: str) -> Grammar:
                 raise IndexFormatError(f"ids must be contiguous, got {sid} on line {lineno + 1}")
             tag = parts[1]
             if tag == "T" and len(parts) == 3:
-                got = table.intern_terminal(int(parts[2]))
+                key = int(parts[2])
             elif tag == "P" and len(parts) == 5:
                 b, c, level = int(parts[2]), int(parts[3]), int(parts[4])
                 if level % 2:
                     raise IndexFormatError(f"pair on odd level {level} on line {lineno + 1}")
-                got = table.intern_pair(b, c, level)
+                key = (tag, b, c)
             elif tag == "R" and len(parts) == 5:
                 b, m, level = int(parts[2]), int(parts[3]), int(parts[4])
                 if level % 2 == 0:
                     raise IndexFormatError(f"power on even level {level} on line {lineno + 1}")
-                got = table.intern_power(b, m, level)
+                key = (tag, b, m)
             else:
                 raise IndexFormatError(f"bad record on line {lineno + 1}")
-            if got != sid:
+            if seen.setdefault(key, sid) != sid:
                 raise IndexFormatError(f"duplicate symbol on line {lineno + 1}")
+            if tag == "T":
+                table.add_terminal(key)
+            elif tag == "P":
+                table.add_pair(b, c, level)
+            else:
+                table.add_power(b, m, level)
     except (ValueError, IndexError):
         raise IndexFormatError(f"bad record on line {lineno + 1}") from None
     except IndexFormatError:
@@ -167,23 +186,53 @@ def _load_for(args) -> Grammar:
         raise SystemExit(2)
 
 
-def _cmd_query(args) -> int:
-    g = _load_for(args)
+_ARITY = {"lce": 2, "revlce": 2, "ipm": 4}
+
+
+def _answer(g: Grammar, op: str, nums) -> tuple[str, int]:
+    """The output line of one query and its exit code."""
     try:
-        if args.op == "lce":
-            print(lce(g, args.i, args.i2))
-        elif args.op == "revlce":
-            print(rev_lce(g, args.i, args.i2))
-        else:
-            occ = ipm_query(g, args.x, args.x2, args.y, args.y2)
-            print(f"{occ.start} {occ.diff} {occ.count}")
+        if op == "lce":
+            return str(lce(g, *nums)), 0
+        if op == "revlce":
+            return str(rev_lce(g, *nums)), 0
+        occ = ipm_query(g, *nums)
+        return f"{occ.start} {occ.diff} {occ.count}", 0
     except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+        return f"internal error: {exc}", 4
     except RlslpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        return f"error: {exc}", 3
+
+
+def _batch(g: Grammar, lines) -> int:
+    """Answer one query per input line on stdout; return the worst exit code."""
+    worst = 0
+    for raw in lines:
+        op, *args = raw.split() or [""]
+        try:
+            nums = [int(a) for a in args]
+        except ValueError:
+            nums = None
+        if nums is None or len(nums) != _ARITY.get(op):
+            out, code = f"error: bad query line {raw.strip()!r}", 2
+        else:
+            out, code = _answer(g, op, nums)
+        print(out, flush=True)
+        worst = max(worst, code)
+    return worst
+
+
+def _cmd_query(args) -> int:
+    if args.batch == (args.op is not None):
+        print("error: query takes one of lce, revlce, ipm or --batch", file=sys.stderr)
+        return 2
+    g = _load_for(args)
+    if args.batch:
+        return _batch(g, sys.stdin)
+    nums = (args.x, args.x2, args.y, args.y2) if args.op == "ipm" else (args.i, args.i2)
+    out, code = _answer(g, args.op, nums)
+    print(out, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 def _cmd_stats(args) -> int:
@@ -318,9 +367,12 @@ def _parser() -> argparse.ArgumentParser:
                    help="treat input as UTF-8 instead of raw bytes")
     b.set_defaults(func=_cmd_build)
 
-    qp = sub.add_parser("query", help="answer one query against an index")
+    qp = sub.add_parser("query", help="answer one query, or one per stdin line, against an index")
     qp.add_argument("--index", required=True)
-    ops = qp.add_subparsers(dest="op", required=True)
+    qp.add_argument("--batch", action="store_true",
+                    help="read queries from stdin, one per line: lce i i2 | revlce i i2 | "
+                         "ipm x x2 y y2")
+    ops = qp.add_subparsers(dest="op")
     op_lce = ops.add_parser("lce", help="longest common extension of two suffixes")
     op_lce.add_argument("i", type=int)
     op_lce.add_argument("i2", type=int)

@@ -1,11 +1,12 @@
-"""Interned symbol universe for run-length straight-line programs.
+"""Symbol table for run-length straight-line programs.
 
 A symbol is a terminal character, a pair production ``BC`` with ``B != C``,
-or a power production ``B^m`` with ``m >= 2``.  Structurally identical
-symbols are hash-consed onto one dense integer id, and every symbol stores
-the length of its expansion and the compression round that created it.
-Symbol ids are assigned in creation order, so a grammar built from a fixed
-(text, seed) always serializes the same way.
+or a power production ``B^m`` with ``m >= 2``.  Every symbol has a dense
+integer id and stores the length of its expansion and the compression round
+that created it.  ``add_*`` check a record and append it; ``intern_*`` put
+a lookup in front, so that structurally identical symbols share one id, and
+are for the builder.  Symbol ids are assigned in creation order, so a
+grammar built from a fixed (text, seed) always serializes the same way.
 """
 
 from __future__ import annotations
@@ -26,12 +27,17 @@ POWER = 2
 
 
 class SymbolTable:
-    """Append-only store of interned symbols.
+    """Append-only store of symbols.
 
     Parallel arrays keep per-symbol data cheap to read in query hot loops:
     ``arg0`` holds the codepoint / left child / base, ``arg1`` the right
-    child / exponent.  Mutation happens only while the builder runs; after
-    that the table is read-only by contract.
+    child / exponent.  ``add_*`` check a record (children are earlier
+    symbols, a pair's children differ, an exponent is at least 2, a level
+    is above its children's, a codepoint is in range) and append it.
+    ``intern_*`` also hash-cons through three dicts and are for the
+    builder; a table filled by ``add_*`` alone, such as a loaded one,
+    leaves the dicts empty.  Mutation happens only while the table is
+    filled; after that it is read-only by contract.
     """
 
     __slots__ = ("kind", "arg0", "arg1", "level", "explen",
@@ -63,15 +69,40 @@ class SymbolTable:
         if not (0 <= sid < len(self.kind)):
             raise UnknownSymbolError(f"symbol id {sid} not in table")
 
+    def add_terminal(self, cp: int) -> int:
+        """Check and append the terminal with codepoint ``cp``."""
+        if not 0 <= cp < 0x110000:
+            raise OutOfRangeError(f"codepoint {cp} outside [0, 0x110000)")
+        return self._append(TERMINAL, cp, 0, 0, 1)
+
+    def add_pair(self, b: int, c: int, level: int) -> int:
+        """Check and append the pair production ``bc`` of compression round ``level``."""
+        self.check(b)
+        self.check(c)
+        if b == c:
+            raise EqualChildrenError(f"pair children must differ, got {b} twice")
+        if level <= max(self.level[b], self.level[c]):
+            raise BadLevelError(
+                f"pair level {level} not above children levels "
+                f"{self.level[b]}, {self.level[c]}")
+        return self._append(PAIR, b, c, level, self.explen[b] + self.explen[c])
+
+    def add_power(self, b: int, m: int, level: int) -> int:
+        """Check and append the power production ``b^m`` of round ``level``."""
+        self.check(b)
+        if m < 2:
+            raise BadExponentError(f"power exponent must be >= 2, got {m}")
+        if level <= self.level[b]:
+            raise BadLevelError(
+                f"power level {level} not above base level {self.level[b]}")
+        return self._append(POWER, b, m, level, m * self.explen[b])
+
     def intern_terminal(self, ch) -> int:
         """Intern a terminal; ``ch`` is a codepoint or a 1-character string."""
         cp = ord(ch) if isinstance(ch, str) else int(ch)
         sid = self._terminals.get(cp)
         if sid is None:
-            if not 0 <= cp < 0x110000:
-                raise OutOfRangeError(f"codepoint {cp} outside [0, 0x110000)")
-            sid = self._append(TERMINAL, cp, 0, 0, 1)
-            self._terminals[cp] = sid
+            sid = self._terminals[cp] = self.add_terminal(cp)
         return sid
 
     def intern_pair(self, b: int, c: int, level: int) -> int:
@@ -81,45 +112,15 @@ class SymbolTable:
         argument is ignored (the level is fixed at first creation).
         """
         sid = self._pairs.get((b, c))
-        if sid is not None:
-            return sid
-        self.check(b)
-        self.check(c)
-        if b == c:
-            raise EqualChildrenError(f"pair children must differ, got {b} twice")
-        if level <= max(self.level[b], self.level[c]):
-            raise BadLevelError(
-                f"pair level {level} not above children levels "
-                f"{self.level[b]}, {self.level[c]}")
-        sid = self._append(PAIR, b, c, level, self.explen[b] + self.explen[c])
-        self._pairs[(b, c)] = sid
+        if sid is None:
+            sid = self._pairs[(b, c)] = self.add_pair(b, c, level)
         return sid
 
     def intern_power(self, b: int, m: int, level: int) -> int:
         """Intern the power production ``b^m`` created at round ``level``."""
         sid = self._powers.get((b, m))
-        if sid is not None:
-            return sid
-        self.check(b)
-        if m < 2:
-            raise BadExponentError(f"power exponent must be >= 2, got {m}")
-        if level <= self.level[b]:
-            raise BadLevelError(
-                f"power level {level} not above base level {self.level[b]}")
-        sid = self._append(POWER, b, m, level, m * self.explen[b])
-        self._powers[(b, m)] = sid
-        return sid
-
-    def find_pair(self, b: int, c: int) -> int:
-        sid = self._pairs.get((b, c))
         if sid is None:
-            raise UnknownSymbolError(f"no pair symbol for ({b}, {c})")
-        return sid
-
-    def find_power(self, b: int, m: int) -> int:
-        sid = self._powers.get((b, m))
-        if sid is None:
-            raise UnknownSymbolError(f"no power symbol for ({b}, {m})")
+            sid = self._powers[(b, m)] = self.add_power(b, m, level)
         return sid
 
 

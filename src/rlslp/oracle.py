@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .builder import LEFT, RIGHT, level_string, partition_for_level
-from .errors import InternalInvariantError, OutOfRangeError
-from .grammar import POWER, Grammar
+from .errors import InternalInvariantError, OutOfRangeError, UnknownSymbolError
+from .grammar import PAIR, POWER, Grammar
 
 _ORACLE_CAP = 512
 
@@ -112,6 +112,8 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
     """Simulate the popped-sequence definition on materialized level strings."""
     _check_grammar_fragment(g, x, x2)
     t = g.table
+    # block -> symbol, from the arrays alone: a loaded table has no intern dicts
+    ids = {(k, b, c): sid for sid, (k, b, c) in enumerate(zip(t.kind, t.arg0, t.arg1))}
     xbar = [level_string(g, 0).symbols[x:x2]]
     lefts: list[list[int]] = []
     rights: list[list[int]] = []
@@ -154,12 +156,16 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
             size = b_hi - b_lo
             if size == 1:
                 nxt.append(middle[b_lo])
-            elif shrink_round % 2 == 1:
-                nxt.append(t.find_power(middle[b_lo], size))
+                continue
+            if shrink_round % 2 == 1:
+                key = (POWER, middle[b_lo], size)
+            elif size == 2:
+                key = (PAIR, middle[b_lo], middle[b_lo + 1])
             else:
-                if size != 2:
-                    raise InternalInvariantError(f"pair block of {size} symbols")
-                nxt.append(t.find_pair(middle[b_lo], middle[b_lo + 1]))
+                raise InternalInvariantError(f"pair block of {size} symbols")
+            if key not in ids:
+                raise UnknownSymbolError(f"no symbol for block {key}")
+            nxt.append(ids[key])
         if not nxt:
             q = k
             break

@@ -30,7 +30,7 @@ def test_shrink_rle_groups_maximal_runs():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     out = shrink_rle(LevelString(0, [a, a, a, b]), t)
-    assert out.symbols == [t.find_power(a, 3), b]
+    assert out.symbols == [t.intern_power(a, 3, 1), b]
 
 
 def test_shrink_rle_no_runs_unchanged():
@@ -44,7 +44,7 @@ def test_shrink_rle_mixed():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     out = shrink_rle(LevelString(0, [a, a, b, b, b, a]), t)
-    assert out.symbols == [t.find_power(a, 2), t.find_power(b, 3), a]
+    assert out.symbols == [t.intern_power(a, 2, 1), t.intern_power(b, 3, 1), a]
 
 
 def test_shrink_rounds_have_their_parity():
@@ -62,7 +62,7 @@ def test_shrink_pc_single_pair():
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     s = LevelString(1, [a, b])
     out = shrink_pc(s, {a: LEFT, b: RIGHT}, t)
-    assert out.symbols == [t.find_pair(a, b)]
+    assert out.symbols == [t.intern_pair(a, b, 2)]
 
 
 def test_shrink_pc_wrong_orientation_unchanged():
@@ -76,7 +76,7 @@ def test_shrink_pc_greedy_left_to_right():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a: LEFT, b: RIGHT}, t)
-    ab = t.find_pair(a, b)
+    ab = t.intern_pair(a, b, 2)
     assert out.symbols == [ab, ab, a]
 
 

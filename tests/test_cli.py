@@ -1,4 +1,6 @@
+import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,9 +9,9 @@ from rlslp.builder import build
 from rlslp.cli import load_index, main, save_index
 from rlslp.errors import IndexFormatError, InternalInvariantError
 from rlslp.ipm import ipm_query
-from rlslp.oracle import naive_lce, naive_occ
+from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels
 
-from helpers import random_text
+from helpers import ALPHABETS, random_text
 
 
 def _build_index(tmp_path, text, seed=0):
@@ -196,6 +198,71 @@ def test_load_rejects_seed_out_of_range(tmp_path, capsys):
         "negative-codepoint"])
 def test_load_rejects_bad_record(tmp_path, capsys, old, new, match):
     _assert_rejected(_edited_index(tmp_path, old, new), match, capsys)
+
+
+@pytest.mark.parametrize("record", ["20 T 97", "20 P 2 0 2", "20 R 0 2 1", "20 P 2 0 4"],
+                         ids=["terminal", "pair", "power", "pair-at-another-level"])
+def test_load_rejects_repeated_production(tmp_path, capsys, record):
+    path = _edited_index(tmp_path, " symbols=20 ", " symbols=21 ")
+    path.write_text(path.read_text() + record + "\n")
+    _assert_rejected(path, "duplicate symbol on line 21", capsys)
+
+
+def test_loaded_table_is_lean(tmp_path):
+    rng = random.Random(1)
+    g = build("".join(rng.choice("abcd") for _ in range(1 << 14)), 1)
+    path = tmp_path / "lean.idx"
+    save_index(g, str(path))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_index(str(path))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    t = loaded.table
+    assert len(t) == len(g.table)
+    assert held <= 110 * len(t), f"{held / len(t):.1f} bytes per symbol"
+    assert not t._terminals and not t._pairs and not t._powers
+
+
+def test_oracle_runs_on_loaded_grammars(tmp_path):
+    rng = random.Random(23)
+    for trial in range(30):
+        text = random_text(rng, 200, ALPHABETS[trial % len(ALPHABETS)])
+        g = build(text, trial)
+        path = tmp_path / f"o{trial}.idx"
+        save_index(g, str(path))
+        g2 = load_index(str(path))
+        n = len(text)
+        for _ in range(10):
+            x = rng.randrange(n)
+            x2 = rng.randint(x + 1, n)
+            assert naive_pseq_levels(g2, x, x2) == naive_pseq_levels(g, x, x2)
+
+
+def test_query_batch_matches_one_shot(tmp_path, capsys, monkeypatch):
+    path = _build_index(tmp_path, "abracadabraabracadabra")
+    queries = ["lce 0 11", "revlce 11 22", "ipm 0 4 7 14", "lce 3 22",
+               "ipm 0 4 18 25", "ipm 1 5 9 16", "revlce 0 5", "ipm 0 11 11 22"]
+    lines = queries[:3] + ["lce 0 x"] + queries[3:]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--batch"]) == 3
+    got = capsys.readouterr().out.splitlines()
+    assert len(got) == len(lines)
+    assert got[3] == "error: bad query line 'lce 0 x'"
+    del got[3]
+    codes = []
+    for query, batch_line in zip(queries, got):
+        codes.append(main(["query", "--index", str(path), *query.split()]))
+        out = capsys.readouterr()
+        assert batch_line == (out.err if codes[-1] else out.out).strip()
+    assert codes.count(3) == 1 and codes.count(0) == len(queries) - 1
+    # --batch and a one-shot op exclude each other, and one of them is needed
+    for args in (["--batch", "lce", "0", "1"], []):
+        assert main(["query", "--index", str(path), *args]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_roundtrip_answers_match(tmp_path):
