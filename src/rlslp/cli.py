@@ -1,13 +1,20 @@
 """Command-line front end: build indexes, answer queries, print stats, self-test.
 
-Index files are line-based ASCII with LF newlines: a header line followed
-by one line per symbol in id order, so a build is byte-reproducible for a
-fixed (text, seed).  Text is read as raw bytes mapped to codepoints 0-255
-unless --utf8 is given.
+An index file (format version 2) is an ASCII header line,
+``RLSLP1 version=2 seed=.. rounds=.. text_len=.. symbols=.. start=..``
+and LF, then three binary columns of ``symbols`` entries each, in id
+order: ``arg0`` and ``arg1`` as little-endian int32 (int64 when
+``text_len + 0x110000 >= 2^31``), then ``level`` as little-endian uint16.
+A symbol's kind follows from its level: 0 is a terminal, odd a power, even
+above 0 a pair.  A build is byte-reproducible for a fixed (text, seed).
+Version-1 files (one ASCII line per symbol) still load; they are no longer
+written.  Text is read as raw bytes mapped to codepoints 0-255 unless
+--utf8 is given.
 
 Exit codes: 0 success, 2 malformed arguments (a bad selftest option
 included), unreadable/invalid input (an index whose header or levels
-disagree with its symbols included) or an index that cannot be written,
+disagree with its symbols, or a version-2 payload of the wrong size,
+included) or an index that cannot be written,
 3 for out-of-range positions or an IPM ratio violation, 4 when a query
 fails an internal consistency check (a bug; the message names the check).
 
@@ -21,8 +28,10 @@ line (4) and does not stop the stream; the exit code is the worst seen.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
+from array import array
 
 from .builder import build
 from .errors import IndexFormatError, InternalInvariantError, RlslpError
@@ -34,45 +43,39 @@ from .oracle import (_ORACLE_CAP, naive_lce, naive_occ, naive_pseq_levels, naive
 from .popped import pseq
 
 MAGIC = "RLSLP1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_HEADER_FIELDS = {"version", "seed", "rounds", "text_len", "symbols", "start"}
+
+
+def _arg_code(text_len: int) -> str:
+    """Array typecode of the ``arg`` columns: int32, or int64 for texts so long
+    that an id, exponent or codepoint may reach 2^31."""
+    return "q" if text_len + 0x110000 >= 1 << 31 else "i"
 
 
 def save_index(g: Grammar, path: str) -> None:
+    """Write ``g`` as a version-2 index: an ASCII header line, then the
+    ``arg0``, ``arg1`` and ``level`` columns in little-endian binary."""
     t = g.table
-    lines = [
-        f"{MAGIC} version={FORMAT_VERSION} seed={g.seed} rounds={g.rounds} "
-        f"text_len={g.text_len} symbols={len(t)} start={g.start}"
-    ]
-    for sid in range(len(t)):
-        k = t.kind[sid]
-        if k == TERMINAL:
-            lines.append(f"{sid} T {t.arg0[sid]}")
-        elif k == PAIR:
-            lines.append(f"{sid} P {t.arg0[sid]} {t.arg1[sid]} {t.level[sid]}")
-        else:
-            lines.append(f"{sid} R {t.arg0[sid]} {t.arg1[sid]} {t.level[sid]}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    code = _arg_code(g.text_len)
+    cols = (array(code, t.arg0), array(code, t.arg1), array("H", t.level))
+    if sys.byteorder == "big":
+        for col in cols:
+            col.byteswap()
+    header = (f"{MAGIC} version={FORMAT_VERSION} seed={g.seed} rounds={g.rounds} "
+              f"text_len={g.text_len} symbols={len(t)} start={g.start}\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for col in cols:
+            fh.write(col.tobytes())
 
 
-def load_index(path: str) -> Grammar:
-    """Parse an index file; explen is recomputed.
-
-    Each record is checked and appended (``SymbolTable.add_*``); one local
-    dict, dropped on return, rejects a production repeated under a new id.
-    The returned table keeps no intern dicts: queries read only the
-    per-symbol arrays.
-    """
+def _parse_header(head: bytes) -> dict:
+    """The fields of an index header line, either version."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IndexFormatError(f"cannot read index: {exc}") from None
+        header = head.decode("ascii").split()
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"index is not ASCII: {exc}") from None
-    if not lines:
-        raise IndexFormatError("empty index file")
-    header = lines[0].split()
     if len(header) != 7 or header[0] != MAGIC:
         raise IndexFormatError("bad header")
     fields = {}
@@ -82,20 +85,26 @@ def load_index(path: str) -> Grammar:
             fields[key] = int(val)
         except ValueError:
             raise IndexFormatError(f"bad header field {item!r}") from None
-    expected = {"version", "seed", "rounds", "text_len", "symbols", "start"}
-    if set(fields) != expected:
+    if set(fields) != _HEADER_FIELDS:
         raise IndexFormatError("bad header fields")
-    if fields["version"] != FORMAT_VERSION:
+    if fields["version"] not in (1, FORMAT_VERSION):
         raise IndexFormatError(f"unsupported version {fields['version']}")
-    if len(lines) - 1 != fields["symbols"]:
-        raise IndexFormatError("symbol count does not match header")
-    if not 0 <= fields["seed"] < 1 << 64:
-        raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
+    return fields
 
+
+def _read_v1(body: bytes, count: int) -> SymbolTable:
+    """The table of a version-1 body: one ASCII line per symbol in id order,
+    ``sid T cp``, ``sid P b c level`` or ``sid R b m level``."""
+    try:
+        lines = body.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"index is not ASCII: {exc}") from None
+    if len(lines) != count:
+        raise IndexFormatError("symbol count does not match header")
     table = SymbolTable()
     seen: dict = {}  # codepoint or (tag, b, c) -> first id; the level is not part of the key
     try:
-        for lineno, line in enumerate(lines[1:]):
+        for lineno, line in enumerate(lines):
             parts = line.split()
             sid = int(parts[0])
             if sid != lineno:
@@ -129,6 +138,77 @@ def load_index(path: str) -> Grammar:
         raise
     except RlslpError as exc:
         raise IndexFormatError(f"invalid symbol on line {lineno + 1}: {exc}") from None
+    return table
+
+
+def _read_v2(payload: bytes, count: int, text_len: int) -> SymbolTable:
+    """The table of a version-2 payload: ``count`` entries of ``arg0``, then of
+    ``arg1`` (little-endian int32, int64 when ``_arg_code`` says so), then of
+    ``level`` (little-endian uint16).  The kind follows from the level: 0 is
+    a terminal (``arg1`` 0), odd a power, even above 0 a pair."""
+    code = _arg_code(text_len)
+    arg0, arg1, level = array(code), array(code), array("H")
+    cut = count * arg0.itemsize
+    if count < 0 or len(payload) != 2 * cut + 2 * count:
+        raise IndexFormatError(f"payload of {len(payload)} bytes does not hold "
+                               f"symbols={count} records")
+    arg0.frombytes(payload[:cut])
+    arg1.frombytes(payload[cut:2 * cut])
+    level.frombytes(payload[2 * cut:])
+    if sys.byteorder == "big":
+        for col in (arg0, arg1, level):
+            col.byteswap()
+    table = SymbolTable()
+    add_terminal, add_pair, add_power = table.add_terminal, table.add_pair, table.add_power
+    # One int key per production, the level left out; the kinds' ranges are
+    # disjoint once add_* has checked the record: codepoints below 0x110000,
+    # pairs from there up, powers (exponent >= 2) below 0.
+    seen: dict[int, int] = {}
+    try:
+        for sid, (b, c, lv) in enumerate(zip(arg0.tolist(), arg1.tolist(), level.tolist())):
+            if lv & 1:
+                add_power(b, c, lv)
+                key = -1 - (c * count + b)
+            elif lv:
+                add_pair(b, c, lv)
+                key = 0x110000 + b * count + c
+            elif c:
+                raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
+            else:
+                add_terminal(b)
+                key = b
+            if seen.setdefault(key, sid) != sid:
+                raise IndexFormatError(f"duplicate symbol {sid}")
+    except IndexFormatError:
+        raise
+    except RlslpError as exc:
+        raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
+    return table
+
+
+def load_index(path: str) -> Grammar:
+    """Parse an index file of either version; explen is recomputed.
+
+    Each record is checked and appended (``SymbolTable.add_*``); one local
+    dict, dropped on return, rejects a production repeated under a new id.
+    The returned table keeps no intern dicts: queries read only the
+    per-symbol arrays.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IndexFormatError(f"cannot read index: {exc}") from None
+    if not data:
+        raise IndexFormatError("empty index file")
+    head, _, body = data.partition(b"\n")
+    fields = _parse_header(head)
+    if not 0 <= fields["seed"] < 1 << 64:
+        raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
+    if fields["version"] == 1:
+        table = _read_v1(body, fields["symbols"])
+    else:
+        table = _read_v2(body, fields["symbols"], fields["text_len"])
 
     start = fields["start"]
     if not (0 <= start < len(table)):
@@ -248,6 +328,9 @@ def _cmd_stats(args) -> int:
     print(f"pairs: {kinds[PAIR]}")
     print(f"powers: {kinds[POWER]}")
     print(f"seed: {g.seed}")
+    with open(args.index, "rb") as fh:
+        print(f"format_version: {_parse_header(fh.readline())['version']}")
+    print(f"index_bytes_per_char: {os.path.getsize(args.index) / g.text_len:.3f}")
     return 0
 
 

@@ -33,7 +33,9 @@ class SymbolTable:
     ``arg0`` holds the codepoint / left child / base, ``arg1`` the right
     child / exponent.  ``add_*`` check a record (children are earlier
     symbols, a pair's children differ, an exponent is at least 2, a level
-    is above its children's, a codepoint is in range) and append it.
+    is above its children's, a codepoint is in range) and append it; a
+    record that passes costs one range test per child, and ``check`` is
+    called only to raise for one that fails.
     ``intern_*`` also hash-cons through three dicts and are for the
     builder; a table filled by ``add_*`` alone, such as a loaded one,
     leaves the dicts empty.  Mutation happens only while the table is
@@ -56,15 +58,6 @@ class SymbolTable:
     def __len__(self) -> int:
         return len(self.kind)
 
-    def _append(self, kind: int, a0: int, a1: int, level: int, explen: int) -> int:
-        sid = len(self.kind)
-        self.kind.append(kind)
-        self.arg0.append(a0)
-        self.arg1.append(a1)
-        self.level.append(level)
-        self.explen.append(explen)
-        return sid
-
     def check(self, sid: int) -> None:
         if not (0 <= sid < len(self.kind)):
             raise UnknownSymbolError(f"symbol id {sid} not in table")
@@ -73,29 +66,53 @@ class SymbolTable:
         """Check and append the terminal with codepoint ``cp``."""
         if not 0 <= cp < 0x110000:
             raise OutOfRangeError(f"codepoint {cp} outside [0, 0x110000)")
-        return self._append(TERMINAL, cp, 0, 0, 1)
+        sid = len(self.kind)
+        self.kind.append(TERMINAL)
+        self.arg0.append(cp)
+        self.arg1.append(0)
+        self.level.append(0)
+        self.explen.append(1)
+        return sid
 
     def add_pair(self, b: int, c: int, level: int) -> int:
         """Check and append the pair production ``bc`` of compression round ``level``."""
-        self.check(b)
-        self.check(c)
+        kind = self.kind
+        sid = len(kind)
+        if not (0 <= b < sid and 0 <= c < sid):
+            self.check(b)
+            self.check(c)
         if b == c:
             raise EqualChildrenError(f"pair children must differ, got {b} twice")
-        if level <= max(self.level[b], self.level[c]):
+        lv = self.level
+        if level <= lv[b] or level <= lv[c]:
             raise BadLevelError(
-                f"pair level {level} not above children levels "
-                f"{self.level[b]}, {self.level[c]}")
-        return self._append(PAIR, b, c, level, self.explen[b] + self.explen[c])
+                f"pair level {level} not above children levels {lv[b]}, {lv[c]}")
+        ex = self.explen
+        kind.append(PAIR)
+        self.arg0.append(b)
+        self.arg1.append(c)
+        lv.append(level)
+        ex.append(ex[b] + ex[c])
+        return sid
 
     def add_power(self, b: int, m: int, level: int) -> int:
         """Check and append the power production ``b^m`` of round ``level``."""
-        self.check(b)
+        kind = self.kind
+        sid = len(kind)
+        if not 0 <= b < sid:
+            self.check(b)
         if m < 2:
             raise BadExponentError(f"power exponent must be >= 2, got {m}")
-        if level <= self.level[b]:
-            raise BadLevelError(
-                f"power level {level} not above base level {self.level[b]}")
-        return self._append(POWER, b, m, level, m * self.explen[b])
+        lv = self.level
+        if level <= lv[b]:
+            raise BadLevelError(f"power level {level} not above base level {lv[b]}")
+        ex = self.explen
+        kind.append(POWER)
+        self.arg0.append(b)
+        self.arg1.append(m)
+        lv.append(level)
+        ex.append(m * ex[b])
+        return sid
 
     def intern_terminal(self, ch) -> int:
         """Intern a terminal; ``ch`` is a codepoint or a 1-character string."""

@@ -1,17 +1,18 @@
 import io
 import random
+import struct
 import tracemalloc
 
 import pytest
 
 from rlslp import lce, rev_lce
 from rlslp.builder import build
-from rlslp.cli import load_index, main, save_index
+from rlslp.cli import _arg_code, load_index, main, save_index
 from rlslp.errors import IndexFormatError, InternalInvariantError
 from rlslp.ipm import ipm_query
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels
 
-from helpers import ALPHABETS, random_text
+from helpers import ALPHABETS, random_text, write_v1_index
 
 
 def _build_index(tmp_path, text, seed=0):
@@ -127,6 +128,14 @@ def test_stats(tmp_path, capsys):
     assert main(["stats", "--index", str(path)]) == 0
     out = capsys.readouterr().out
     assert "rounds: 0" in out and "symbols: 1" in out and "terminals: 1" in out
+    assert "format_version: 2" in out
+    assert f"index_bytes_per_char: {path.stat().st_size:.3f}" in out
+    v1 = tmp_path / "v1.idx"
+    write_v1_index(build("abab", 0), v1)
+    assert main(["stats", "--index", str(v1)]) == 0
+    out = capsys.readouterr().out
+    assert "format_version: 1" in out
+    assert f"index_bytes_per_char: {v1.stat().st_size / 4:.3f}" in out
 
 
 def test_stats_bad_file(tmp_path, capsys):
@@ -138,7 +147,8 @@ def test_stats_bad_file(tmp_path, capsys):
 
 
 def test_load_rejects_corruption(tmp_path):
-    path = _build_index(tmp_path, "abcabc")
+    path = tmp_path / "v1.idx"
+    write_v1_index(build("abcabc", 0), path)
     lines = path.read_text().splitlines()
     # duplicate id
     broken = "\n".join([lines[0]] + [lines[1]] + lines[1:]) + "\n"
@@ -149,8 +159,10 @@ def test_load_rejects_corruption(tmp_path):
 
 
 def _edited_index(tmp_path, old, new):
-    """The abracadabraabracadabra index (seed 0) with one edit made."""
-    path = _build_index(tmp_path, "abracadabraabracadabra")
+    """The abracadabraabracadabra index (seed 0), written in version 1, with
+    one edit made."""
+    path = tmp_path / "v1.idx"
+    write_v1_index(build("abracadabraabracadabra", 0), path)
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new, 1))
@@ -206,6 +218,123 @@ def test_load_rejects_repeated_production(tmp_path, capsys, record):
     path = _edited_index(tmp_path, " symbols=20 ", " symbols=21 ")
     path.write_text(path.read_text() + record + "\n")
     _assert_rejected(path, "duplicate symbol on line 21", capsys)
+
+
+def _v2_index(tmp_path, edit):
+    """The abracadabraabracadabra index (seed 0), version 2, with its header
+    fields and its ``arg0``/``arg1``/``level`` columns passed through
+    ``edit(fields, arg0, arg1, level)`` and written back."""
+    path = _build_index(tmp_path, "abracadabraabracadabra")
+    head, _, payload = path.read_bytes().partition(b"\n")
+    fields = dict(item.split("=") for item in head.decode("ascii").split()[1:])
+    n = int(fields["symbols"])
+    arg0 = list(struct.unpack_from(f"<{n}i", payload))
+    arg1 = list(struct.unpack_from(f"<{n}i", payload, 4 * n))
+    level = list(struct.unpack_from(f"<{n}H", payload, 8 * n))
+    edit(fields, arg0, arg1, level)
+    m = len(level)
+    head = "RLSLP1 " + " ".join(f"{k}={v}" for k, v in fields.items())
+    path.write_bytes(head.encode("ascii") + b"\n" + struct.pack(f"<{m}i", *arg0)
+                     + struct.pack(f"<{m}i", *arg1) + struct.pack(f"<{m}H", *level))
+    return path
+
+
+def _set(column, sid, value):
+    def edit(fields, arg0, arg1, level):
+        {"arg0": arg0, "arg1": arg1, "level": level}[column][sid] = value
+    return edit
+
+
+def _append(record):
+    def edit(fields, arg0, arg1, level):
+        fields["symbols"] = str(int(fields["symbols"]) + 1)
+        for col, val in zip((arg0, arg1, level), record):
+            col.append(val)
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set("arg1", 6, 9), "invalid symbol 6: symbol id 9 not in table"),
+    (_set("arg0", 6, -1), "invalid symbol 6: symbol id -1 not in table"),
+    (_set("arg0", 5, 7), "invalid symbol 5: symbol id 7 not in table"),
+    (_set("arg1", 6, 2), "invalid symbol 6: pair children must differ"),
+    (_set("arg1", 5, 1), "invalid symbol 5: power exponent must be >= 2, got 1"),
+    (_set("level", 10, 6), "invalid symbol 10: pair level 6 not above children levels 0, 6"),
+    (_set("arg1", 0, 1), "terminal with arg1 1 at symbol 0"),
+    (_set("arg0", 0, 0x110000), "invalid symbol 0: codepoint 1114112 outside"),
+    (_append((97, 0, 0)), "duplicate symbol 20"),
+    (_append((2, 0, 2)), "duplicate symbol 20"),
+    (_append((0, 2, 1)), "duplicate symbol 20"),
+    (_append((2, 0, 4)), "duplicate symbol 20"),
+    (lambda fields, *cols: fields.update(symbols="21"), "payload of 200 bytes"),
+    (lambda fields, *cols: fields.update(symbols="19"), "payload of 200 bytes"),
+    (lambda fields, *cols: fields.update(version="3"), "unsupported version 3"),
+], ids=["pair-forward-child", "pair-negative-child", "power-forward-base",
+        "equal-pair-children", "exponent-1", "level-not-above-child", "terminal-arg1",
+        "codepoint-out-of-range", "repeated-terminal", "repeated-pair", "repeated-power",
+        "repeated-pair-at-another-level", "symbols-plus-one", "symbols-minus-one",
+        "version-3"])
+def test_load_v2_rejects_bad_record(tmp_path, capsys, edit, match):
+    _assert_rejected(_v2_index(tmp_path, edit), match, capsys)
+
+
+@pytest.mark.parametrize("cut, tail", [(-1, b""), (0, b"\0"), (0, b"\n")],
+                         ids=["truncated", "trailing-zero", "trailing-newline"])
+def test_load_v2_rejects_payload_size(tmp_path, capsys, cut, tail):
+    path = _build_index(tmp_path, "abracadabraabracadabra")
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) + cut] + tail)
+    _assert_rejected(path, "does not hold symbols=20 records", capsys)
+
+
+def test_load_v2_fuzz_raises_only_index_format_error(tmp_path):
+    data = _build_index(tmp_path, "abracadabra", seed=2).read_bytes()
+    path = tmp_path / "fuzz.idx"
+    variants = [data[:cut] for cut in range(len(data))]
+    variants += [data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+                 for i in range(len(data)) for mask in (1, 2, 4, 8, 16, 32, 64, 128, 255)]
+    variants.append(data.replace(b" version=2 ", b" version=1 ", 1))  # binary read as text
+    loaded = 0
+    for variant in variants:
+        path.write_bytes(variant)  # a new file each time: truncating one can be slow
+        try:
+            load_index(str(path))
+            loaded += 1
+        except IndexFormatError:
+            pass
+        path.unlink()
+    assert 0 < loaded < len(variants)
+
+
+def test_v1_and_v2_load_identical_tables(tmp_path):
+    rng = random.Random(41)
+    for trial in range(30):
+        text = random_text(rng, 200, ALPHABETS[trial % len(ALPHABETS)])
+        g = build(text, trial)
+        v1, v2, again = (tmp_path / f"{trial}.{ext}" for ext in ("v1", "v2", "again"))
+        write_v1_index(g, v1)
+        save_index(g, str(v2))
+        g1, g2 = load_index(str(v1)), load_index(str(v2))
+        for name in ("kind", "arg0", "arg1", "level", "explen"):
+            assert getattr(g1.table, name) == getattr(g2.table, name) == getattr(g.table, name)
+        assert (g1.start, g1.rounds, g1.seed, g1.text_len) == \
+            (g2.start, g2.rounds, g2.seed, g2.text_len) == (g.start, g.rounds, g.seed, g.text_len)
+        save_index(g1, str(again))
+        assert again.read_bytes() == v2.read_bytes()
+
+
+def test_wide_columns_roundtrip(tmp_path, monkeypatch):
+    assert _arg_code((1 << 31) - 0x110000 - 1) == "i"
+    assert _arg_code((1 << 31) - 0x110000) == "q"
+    g = build("abracadabraabracadabra", 0)
+    monkeypatch.setattr("rlslp.cli._arg_code", lambda text_len: "q")
+    path = tmp_path / "wide.idx"
+    save_index(g, str(path))
+    head = path.read_bytes().partition(b"\n")[0]
+    assert path.stat().st_size == len(head) + 1 + 18 * len(g.table)
+    g2 = load_index(str(path))
+    assert (g2.table.arg0, g2.table.arg1, g2.table.level) == \
+        (g.table.arg0, g.table.arg1, g.table.level)
 
 
 def test_loaded_table_is_lean(tmp_path):
