@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadLevelError, EmptyTextError, UnclassifiedSymbolError
-from .grammar import POWER, Grammar, SymbolTable
+from .grammar import Grammar, SymbolTable
 
 LEFT = "L"
 RIGHT = "R"
@@ -159,13 +159,9 @@ def level_string(g: Grammar, k: int) -> LevelString:
         s = stack.pop()
         if lvl[s] <= k:
             out.append(s)
-        elif t.kind[s] == POWER:
-            b, m = t.arg0[s], t.arg1[s]
-            if lvl[b] <= k:
-                out.extend([b] * m)
-            else:
-                stack.extend([b] * m)
-        else:  # PAIR
+        elif lvl[s] & 1:  # a power
+            stack.extend([t.arg0[s]] * t.arg1[s])
+        else:  # a pair
             stack.append(t.arg1[s])
             stack.append(t.arg0[s])
     return LevelString(k, out)

@@ -1,20 +1,19 @@
 """Command-line front end: build indexes, answer queries, print stats, self-test.
 
-An index file (format version 2) is an ASCII header line,
-``RLSLP1 version=2 seed=.. rounds=.. text_len=.. symbols=.. start=..``
-and LF, then three binary columns of ``symbols`` entries each, in id
-order: ``arg0`` and ``arg1`` as little-endian int32 (int64 when
-``text_len + 0x110000 >= 2^31``), then ``level`` as little-endian uint16.
-A symbol's kind follows from its level: 0 is a terminal, odd a power, even
-above 0 a pair.  A build is byte-reproducible for a fixed (text, seed).
-Version-1 files (one ASCII line per symbol) still load; they are no longer
-written.  Text is read as raw bytes mapped to codepoints 0-255 unless
---utf8 is given.
+An index file is an ASCII header line, ``RLSLP1 version=2 seed=.. rounds=..
+text_len=.. symbols=.. start=..``, then the ``arg0``, ``arg1`` and ``level``
+columns in little-endian binary (``save_index``); a symbol's kind is its
+level's parity.  Version-1 files (one ASCII line per symbol) still load;
+their record errors name the symbol id, the line's first token, except for
+a bad shape, id, tag or level, which name the line.  A build is
+byte-reproducible for a fixed (text, seed).  Text is read as raw bytes
+mapped to codepoints 0-255 unless --utf8 is given.
 
 Exit codes: 0 success, 2 malformed arguments (a bad selftest option
 included), unreadable/invalid input (an index whose header or levels
 disagree with its symbols, or a version-2 payload of the wrong size,
-included) or an index that cannot be written,
+included), an index that cannot be written or a stdout that cannot be
+written (one ``error: cannot write output`` line on stderr, any command),
 3 for out-of-range positions or an IPM ratio violation, 4 when a query
 fails an internal consistency check (a bug; the message names the check).
 
@@ -32,6 +31,7 @@ import os
 import random
 import sys
 from array import array
+from contextlib import redirect_stdout
 
 from .builder import build
 from .errors import IndexFormatError, InternalInvariantError, RlslpError
@@ -92,60 +92,43 @@ def _parse_header(head: bytes) -> dict:
     return fields
 
 
-def _read_v1(body: bytes, count: int) -> SymbolTable:
-    """The table of a version-1 body: one ASCII line per symbol in id order,
-    ``sid T cp``, ``sid P b c level`` or ``sid R b m level``."""
+def _read_v1(body: bytes, count: int) -> list[tuple[int, int, int]]:
+    """The ``(arg0, arg1, level)`` records of a version-1 body: one ASCII line
+    per symbol in id order, ``sid T cp``, ``sid P b c level`` or ``sid R b m
+    level``."""
     try:
         lines = body.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"index is not ASCII: {exc}") from None
     if len(lines) != count:
         raise IndexFormatError("symbol count does not match header")
-    table = SymbolTable()
-    seen: dict = {}  # codepoint or (tag, b, c) -> first id; the level is not part of the key
+    records = []
     try:
-        for lineno, line in enumerate(lines):
-            parts = line.split()
-            sid = int(parts[0])
-            if sid != lineno:
-                raise IndexFormatError(f"ids must be contiguous, got {sid} on line {lineno + 1}")
-            tag = parts[1]
-            if tag == "T" and len(parts) == 3:
-                key = int(parts[2])
-            elif tag == "P" and len(parts) == 5:
-                b, c, level = int(parts[2]), int(parts[3]), int(parts[4])
-                if level % 2:
-                    raise IndexFormatError(f"pair on odd level {level} on line {lineno + 1}")
-                key = (tag, b, c)
-            elif tag == "R" and len(parts) == 5:
-                b, m, level = int(parts[2]), int(parts[3]), int(parts[4])
-                if level % 2 == 0:
-                    raise IndexFormatError(f"power on even level {level} on line {lineno + 1}")
-                key = (tag, b, m)
+        for lineno, line in enumerate(lines, 1):
+            sid, tag, *rest = line.split()
+            if int(sid) != lineno - 1:
+                raise IndexFormatError(f"ids must be contiguous, got {sid} on line {lineno}")
+            if tag == "T" and len(rest) == 1:
+                b, c, lv = int(rest[0]), 0, 0
+            elif tag in ("P", "R") and len(rest) == 3:
+                b, c, lv = map(int, rest)
+                if tag == "P" and (lv % 2 or not lv):  # level 0 would read as a terminal
+                    raise IndexFormatError(f"pair on {'odd ' if lv else ''}level {lv} "
+                                           f"on line {lineno}")
+                if tag == "R" and lv % 2 == 0:
+                    raise IndexFormatError(f"power on even level {lv} on line {lineno}")
             else:
-                raise IndexFormatError(f"bad record on line {lineno + 1}")
-            if seen.setdefault(key, sid) != sid:
-                raise IndexFormatError(f"duplicate symbol on line {lineno + 1}")
-            if tag == "T":
-                table.add_terminal(key)
-            elif tag == "P":
-                table.add_pair(b, c, level)
-            else:
-                table.add_power(b, m, level)
+                raise IndexFormatError(f"bad record on line {lineno}")
+            records.append((b, c, lv))
     except (ValueError, IndexError):
-        raise IndexFormatError(f"bad record on line {lineno + 1}") from None
-    except IndexFormatError:
-        raise
-    except RlslpError as exc:
-        raise IndexFormatError(f"invalid symbol on line {lineno + 1}: {exc}") from None
-    return table
+        raise IndexFormatError(f"bad record on line {lineno}") from None
+    return records
 
 
-def _read_v2(payload: bytes, count: int, text_len: int) -> SymbolTable:
-    """The table of a version-2 payload: ``count`` entries of ``arg0``, then of
-    ``arg1`` (little-endian int32, int64 when ``_arg_code`` says so), then of
-    ``level`` (little-endian uint16).  The kind follows from the level: 0 is
-    a terminal (``arg1`` 0), odd a power, even above 0 a pair."""
+def _read_v2(payload: bytes, count: int, text_len: int):
+    """The ``(arg0, arg1, level)`` records of a version-2 payload: ``count``
+    entries of ``arg0``, then of ``arg1`` (little-endian int32, int64 when
+    ``_arg_code`` says so), then of ``level`` (little-endian uint16)."""
     code = _arg_code(text_len)
     arg0, arg1, level = array(code), array(code), array("H")
     cut = count * arg0.itemsize
@@ -158,6 +141,14 @@ def _read_v2(payload: bytes, count: int, text_len: int) -> SymbolTable:
     if sys.byteorder == "big":
         for col in (arg0, arg1, level):
             col.byteswap()
+    return zip(arg0.tolist(), arg1.tolist(), level.tolist())
+
+
+def _table(records, count: int) -> SymbolTable:
+    """The table of ``count`` ``(arg0, arg1, level)`` records in id order, each
+    checked and appended by ``SymbolTable.add_*``; the kind follows from the
+    level (a terminal's ``arg1`` is 0).  One local dict, dropped on return,
+    rejects a production repeated under a new id."""
     table = SymbolTable()
     add_terminal, add_pair, add_power = table.add_terminal, table.add_pair, table.add_power
     # One int key per production, the level left out; the kinds' ranges are
@@ -165,7 +156,7 @@ def _read_v2(payload: bytes, count: int, text_len: int) -> SymbolTable:
     # pairs from there up, powers (exponent >= 2) below 0.
     seen: dict[int, int] = {}
     try:
-        for sid, (b, c, lv) in enumerate(zip(arg0.tolist(), arg1.tolist(), level.tolist())):
+        for sid, (b, c, lv) in enumerate(records):
             if lv & 1:
                 add_power(b, c, lv)
                 key = -1 - (c * count + b)
@@ -187,13 +178,9 @@ def _read_v2(payload: bytes, count: int, text_len: int) -> SymbolTable:
 
 
 def load_index(path: str) -> Grammar:
-    """Parse an index file of either version; explen is recomputed.
-
-    Each record is checked and appended (``SymbolTable.add_*``); one local
-    dict, dropped on return, rejects a production repeated under a new id.
-    The returned table keeps no intern dicts: queries read only the
-    per-symbol arrays.
-    """
+    """Parse an index file of either version, sending its records through
+    one check-and-append loop; explen is recomputed.  The returned table
+    keeps no intern dicts: queries read only the per-symbol arrays."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -205,10 +192,11 @@ def load_index(path: str) -> Grammar:
     fields = _parse_header(head)
     if not 0 <= fields["seed"] < 1 << 64:
         raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
+    count = fields["symbols"]
     if fields["version"] == 1:
-        table = _read_v1(body, fields["symbols"])
+        table = _table(_read_v1(body, count), count)
     else:
-        table = _read_v2(body, fields["symbols"], fields["text_len"])
+        table = _table(_read_v2(body, count, fields["text_len"]), count)
 
     start = fields["start"]
     if not (0 <= start < len(table)):
@@ -223,6 +211,12 @@ def load_index(path: str) -> Grammar:
     return g
 
 
+def _fail(message: object) -> int:
+    """Print ``message`` as one ``error:`` line on stderr; the exit code is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _read_text(args) -> str:
     if args.text is not None:
         raw = args.text.encode("utf-8")
@@ -231,39 +225,27 @@ def _read_text(args) -> str:
             with open(args.input, "rb") as fh:
                 raw = fh.read()
         except OSError as exc:
-            print(f"error: cannot read input: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            raise SystemExit(_fail(f"cannot read input: {exc}"))
     if args.utf8:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            raise SystemExit(_fail(f"input is not valid UTF-8: {exc}"))
     return raw.decode("latin-1")  # raw bytes as codepoints 0-255
 
 
 def _cmd_build(args) -> int:
     text = _read_text(args)
     if not text:
-        print("error: input text is empty", file=sys.stderr)
-        return 2
+        return _fail("input text is empty")
     g = build(text, args.seed)
     try:
         save_index(g, args.output)
     except OSError as exc:
-        print(f"error: cannot write index: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"cannot write index: {exc}")
     print(f"built index: {len(g.table)} symbols, {g.rounds} rounds, "
           f"text_len {g.text_len}, seed {g.seed}")
     return 0
-
-
-def _load_for(args) -> Grammar:
-    try:
-        return load_index(args.index)
-    except IndexFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
 
 
 _ARITY = {"lce": 2, "revlce": 2, "ipm": 4}
@@ -304,9 +286,8 @@ def _batch(g: Grammar, lines) -> int:
 
 def _cmd_query(args) -> int:
     if args.batch == (args.op is not None):
-        print("error: query takes one of lce, revlce, ipm or --batch", file=sys.stderr)
-        return 2
-    g = _load_for(args)
+        return _fail("query takes one of lce, revlce, ipm or --batch")
+    g = load_index(args.index)
     if args.batch:
         return _batch(g, sys.stdin)
     nums = (args.x, args.x2, args.y, args.y2) if args.op == "ipm" else (args.i, args.i2)
@@ -316,17 +297,15 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g = _load_for(args)
+    g = load_index(args.index)
     t = g.table
-    kinds = [0, 0, 0]
-    for k in t.kind:
-        kinds[k] += 1
+    kind = t.kind
     print(f"rounds: {g.rounds}")
     print(f"symbols: {len(t)}")
     print(f"text_len: {g.text_len}")
-    print(f"terminals: {kinds[TERMINAL]}")
-    print(f"pairs: {kinds[PAIR]}")
-    print(f"powers: {kinds[POWER]}")
+    print(f"terminals: {kind.count(TERMINAL)}")
+    print(f"pairs: {kind.count(PAIR)}")
+    print(f"powers: {kind.count(POWER)}")
     print(f"seed: {g.seed}")
     with open(args.index, "rb") as fh:
         print(f"format_version: {_parse_header(fh.readline())['version']}")
@@ -414,14 +393,11 @@ def _cmd_selftest(args) -> int:
         sigmas = []
     top = 0x110000 - ord("a")  # texts are drawn from chr(ord("a") + i), i < size
     if not sigmas or not all(1 <= s <= top for s in sigmas):
-        print(f"error: --alphabet {args.alphabet!r} needs sizes in [1, {top}]", file=sys.stderr)
-        return 2
+        return _fail(f"--alphabet {args.alphabet!r} needs sizes in [1, {top}]")
     if args.trials < 0:
-        print(f"error: --trials {args.trials} is negative", file=sys.stderr)
-        return 2
+        return _fail(f"--trials {args.trials} is negative")
     if not 1 <= args.max_len <= _ORACLE_CAP:
-        print(f"error: --max-len {args.max_len} outside [1, {_ORACLE_CAP}]", file=sys.stderr)
-        return 2
+        return _fail(f"--max-len {args.max_len} outside [1, {_ORACLE_CAP}]")
     rng = random.Random(args.seed)
     for trial in range(args.trials):
         sigma = sigmas[trial % len(sigmas)]
@@ -481,9 +457,37 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _Stdout:
+    """Stdout while a command runs: a failed write ends the command with one
+    ``error:`` line on stderr and exit code 2."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def write(self, s: str) -> None:
+        self._do(self.out.write, s)
+
+    def flush(self) -> None:
+        self._do(self.out.flush)
+
+    def _do(self, call, *args) -> None:
+        try:
+            call(*args)
+        except OSError as exc:
+            if self.out is sys.__stdout__:  # the interpreter flushes it again at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), self.out.fileno())
+            raise SystemExit(_fail(f"cannot write output: {exc}"))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    with redirect_stdout(_Stdout(sys.stdout)):
+        try:
+            code = args.func(args)
+        except IndexFormatError as exc:  # an index that query or stats loads
+            raise SystemExit(_fail(exc))
+        sys.stdout.flush()
+    return code
 
 
 if __name__ == "__main__":

@@ -29,24 +29,22 @@ POWER = 2
 class SymbolTable:
     """Append-only store of symbols.
 
-    Parallel arrays keep per-symbol data cheap to read in query hot loops:
-    ``arg0`` holds the codepoint / left child / base, ``arg1`` the right
-    child / exponent.  ``add_*`` check a record (children are earlier
-    symbols, a pair's children differ, an exponent is at least 2, a level
-    is above its children's, a codepoint is in range) and append it; a
-    record that passes costs one range test per child, and ``check`` is
-    called only to raise for one that fails.
-    ``intern_*`` also hash-cons through three dicts and are for the
-    builder; a table filled by ``add_*`` alone, such as a loaded one,
-    leaves the dicts empty.  Mutation happens only while the table is
-    filled; after that it is read-only by contract.
+    Four parallel lists, cheap to read in query hot loops: ``arg0``
+    (codepoint / left child / base), ``arg1`` (right child / exponent, 0 for
+    a terminal), ``level`` (the round that made the symbol) and ``explen``.
+    A symbol's kind is its level's parity: 0 a terminal, odd a power, even
+    above 0 a pair; ``kind`` derives that list in O(n), for reports and
+    tests, not for query loops.  ``add_*`` check a record (the parity,
+    earlier children, distinct pair children, an exponent of at least 2, a
+    level above the children's, a codepoint in range) and append it;
+    ``intern_*`` also hash-cons through three dicts and are for the builder,
+    so a loaded table leaves the dicts empty.  After filling, the table is
+    read-only by contract.
     """
 
-    __slots__ = ("kind", "arg0", "arg1", "level", "explen",
-                 "_terminals", "_pairs", "_powers")
+    __slots__ = ("arg0", "arg1", "level", "explen", "_terminals", "_pairs", "_powers")
 
     def __init__(self) -> None:
-        self.kind: list[int] = []
         self.arg0: list[int] = []
         self.arg1: list[int] = []
         self.level: list[int] = []
@@ -56,18 +54,22 @@ class SymbolTable:
         self._powers: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.level)
+
+    @property
+    def kind(self) -> list[int]:
+        """Each symbol's ``TERMINAL``, ``PAIR`` or ``POWER``, derived from ``level``."""
+        return [POWER if lv & 1 else PAIR if lv else TERMINAL for lv in self.level]
 
     def check(self, sid: int) -> None:
-        if not (0 <= sid < len(self.kind)):
+        if not (0 <= sid < len(self.level)):
             raise UnknownSymbolError(f"symbol id {sid} not in table")
 
     def add_terminal(self, cp: int) -> int:
         """Check and append the terminal with codepoint ``cp``."""
         if not 0 <= cp < 0x110000:
             raise OutOfRangeError(f"codepoint {cp} outside [0, 0x110000)")
-        sid = len(self.kind)
-        self.kind.append(TERMINAL)
+        sid = len(self.level)
         self.arg0.append(cp)
         self.arg1.append(0)
         self.level.append(0)
@@ -76,19 +78,19 @@ class SymbolTable:
 
     def add_pair(self, b: int, c: int, level: int) -> int:
         """Check and append the pair production ``bc`` of compression round ``level``."""
-        kind = self.kind
-        sid = len(kind)
+        lv = self.level
+        sid = len(lv)
+        if level & 1:
+            raise BadLevelError(f"pair on odd level {level}")
         if not (0 <= b < sid and 0 <= c < sid):
             self.check(b)
             self.check(c)
         if b == c:
             raise EqualChildrenError(f"pair children must differ, got {b} twice")
-        lv = self.level
         if level <= lv[b] or level <= lv[c]:
             raise BadLevelError(
                 f"pair level {level} not above children levels {lv[b]}, {lv[c]}")
         ex = self.explen
-        kind.append(PAIR)
         self.arg0.append(b)
         self.arg1.append(c)
         lv.append(level)
@@ -97,17 +99,17 @@ class SymbolTable:
 
     def add_power(self, b: int, m: int, level: int) -> int:
         """Check and append the power production ``b^m`` of round ``level``."""
-        kind = self.kind
-        sid = len(kind)
+        lv = self.level
+        sid = len(lv)
+        if not level & 1:
+            raise BadLevelError(f"power on even level {level}")
         if not 0 <= b < sid:
             self.check(b)
         if m < 2:
             raise BadExponentError(f"power exponent must be >= 2, got {m}")
-        lv = self.level
         if level <= lv[b]:
             raise BadLevelError(f"power level {level} not above base level {lv[b]}")
         ex = self.explen
-        kind.append(POWER)
         self.arg0.append(b)
         self.arg1.append(m)
         lv.append(level)
@@ -164,12 +166,12 @@ class Grammar:
         t.check(sid)
 
         def rec(s: int) -> str:
-            k = t.kind[s]
-            if k == TERMINAL:
-                return chr(t.arg0[s])
-            if k == POWER:
+            lv = t.level[s]
+            if lv & 1:
                 return rec(t.arg0[s]) * t.arg1[s]
-            return rec(t.arg0[s]) + rec(t.arg1[s])
+            if lv:
+                return rec(t.arg0[s]) + rec(t.arg1[s])
+            return chr(t.arg0[s])
 
         return rec(sid)
 

@@ -35,7 +35,7 @@ from .errors import (
     RatioViolationError,
 )
 from .extension import lce, rev_lce
-from .grammar import POWER, Grammar
+from .grammar import Grammar
 from .navigator import Navigator, leaf, step, up
 from .popped import PoppedSeq, Run, pseq
 
@@ -135,7 +135,6 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
         ps = pseq(g, x, x2, nav)
     t = g.table
     lvl = t.level
-    kind = t.kind
     q = ps.q
 
     # ---- locate the proxy level ----
@@ -146,16 +145,15 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
             if run is not None:
                 buckets[lvl[run[0]]].append(run)
                 size += run[1]
-        for sym, mult in buckets[level + 1]:
-            if kind[sym] == POWER:
-                b, m = t.arg0[sym], t.arg1[sym]
-                buckets[lvl[b]].append((b, m * mult))
-                size += (m - 1) * mult
-            else:
-                b, c = t.arg0[sym], t.arg1[sym]
+        for sym, mult in buckets[level + 1]:  # round level+1 made them all
+            b, c = t.arg0[sym], t.arg1[sym]
+            if level & 1:  # pairs
                 buckets[lvl[b]].append((b, mult))
                 buckets[lvl[c]].append((c, mult))
                 size += mult
+            else:  # powers: c is the exponent
+                buckets[lvl[b]].append((b, c * mult))
+                size += (c - 1) * mult
         if size > level:
             break
     else:
@@ -170,7 +168,7 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
                 out[-1] = (sym, out[-1][1] + mult)
             else:
                 out.append((sym, mult))
-        elif kind[sym] == POWER:
+        elif lvl[sym] & 1:  # a power
             emit(t.arg0[sym], t.arg1[sym] * mult)
         else:
             for _ in range(mult):
@@ -234,7 +232,7 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     top = level + 1
     window = pp.sym_len + level - 1
     radius = 2 * level + 2
-    lvl, kind, a0, a1, ln = t.level, t.kind, t.arg0, t.arg1, t.explen
+    lvl, a0, a1, ln = t.level, t.arg0, t.arg1, t.explen
     blocks = [v]
     for forward in (False, True):
         cur = v
@@ -248,7 +246,7 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
             if lvl[s] != top:
                 held += 1
             else:
-                held += a1[s] if kind[s] == POWER else 2
+                held += a1[s] if top & 1 else 2  # a power, else a pair
         if not forward:
             blocks.reverse()
             held_back = held
@@ -259,7 +257,7 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     off = m_node[0] - pos
     if not 0 <= off < ln[s]:
         raise InternalInvariantError("proxy-level ancestor of T[m] outside its block")
-    if lvl[s] == top and kind[s] == POWER:
+    if top & 1 and lvl[s] == top:
         i = off // ln[a0[s]]
     else:  # a pair's second child, or the block itself
         i = 0 if off == 0 else 1
@@ -277,7 +275,7 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     for pos, s, _ in blocks:
         if lvl[s] != top:
             runs = ((s, 1, pos),)
-        elif kind[s] == POWER:
+        elif top & 1:  # a power
             runs = ((a0[s], a1[s], pos),)
         else:
             b = a0[s]

@@ -24,7 +24,7 @@ each.  The complexity tests read the counter back per query.  Chains of
 from __future__ import annotations
 
 from .errors import OutOfRangeError
-from .grammar import PAIR, Grammar
+from .grammar import Grammar
 
 Cursor = tuple  # (pos, sym, parent cursor or None)
 
@@ -44,18 +44,17 @@ def _descend(nav: Navigator, j: int, lo: int, hi: int) -> Cursor:
     """Highest cursor on the path to text position ``j`` whose fragment lies
     inside [lo, hi)."""
     t = nav.t
-    kind, a0, a1, ln = t.kind, t.arg0, t.arg1, t.explen
+    lvl, a0, a1, ln = t.level, t.arg0, t.arg1, t.explen
     s = nav.g.start
     pos = 0
     v = (0, s, None)
-    while pos < lo or pos + ln[s] > hi:
+    while pos < lo or pos + ln[s] > hi:  # so s is not a terminal, which fits
         b = a0[s]
-        if kind[s] == PAIR:
-            if j >= pos + ln[b]:
-                pos += ln[b]
-                b = a1[s]
-        else:  # POWER (a terminal is never wider than [lo, hi))
+        if lvl[s] & 1:  # a power
             pos += (j - pos) // ln[b] * ln[b]
+        elif j >= pos + ln[b]:  # a pair whose right child holds j
+            pos += ln[b]
+            b = a1[s]
         v = (pos, b, v)
         s = b
         nav.steps += 2
@@ -86,10 +85,10 @@ def ahead(nav: Navigator, v: Cursor, forward: bool) -> int:
     nav.steps += 1
     t = nav.t
     ps = par[1]
-    if t.kind[ps] == PAIR:
-        return 1 if (v[0] == par[0]) == forward else 0
-    idx = (v[0] - par[0]) // t.explen[v[1]]
-    return t.arg1[ps] - 1 - idx if forward else idx
+    if t.level[ps] & 1:  # a power
+        idx = (v[0] - par[0]) // t.explen[v[1]]
+        return t.arg1[ps] - 1 - idx if forward else idx
+    return 1 if (v[0] == par[0]) == forward else 0
 
 
 def jump(nav: Navigator, v: Cursor, d: int, forward: bool) -> Cursor:
@@ -98,11 +97,11 @@ def jump(nav: Navigator, v: Cursor, d: int, forward: bool) -> Cursor:
     t = nav.t
     par = v[2]
     ps = par[1]
-    if t.kind[ps] == PAIR:  # d == 1: the other child
-        b = t.arg0[ps]
-        return (par[0] + t.explen[b], t.arg1[ps], par) if forward else (par[0], b, par)
-    w = d * t.explen[v[1]]
-    return (v[0] + w if forward else v[0] - w, v[1], par)
+    if t.level[ps] & 1:  # a power
+        w = d * t.explen[v[1]]
+        return (v[0] + w if forward else v[0] - w, v[1], par)
+    b = t.arg0[ps]  # a pair, so d == 1: the other child
+    return (par[0] + t.explen[b], t.arg1[ps], par) if forward else (par[0], b, par)
 
 
 def first_child(nav: Navigator, v: Cursor, forward: bool) -> Cursor:
@@ -113,9 +112,9 @@ def first_child(nav: Navigator, v: Cursor, forward: bool) -> Cursor:
     b = t.arg0[s]
     if forward:
         return (pos, b, v)
-    if t.kind[s] == PAIR:
-        return (pos + t.explen[b], t.arg1[s], v)
-    return (pos + t.explen[s] - t.explen[b], b, v)
+    if t.level[s] & 1:  # a power
+        return (pos + t.explen[s] - t.explen[b], b, v)
+    return (pos + t.explen[b], t.arg1[s], v)
 
 
 def climb(nav: Navigator, v: Cursor, forward: bool) -> Cursor | None:

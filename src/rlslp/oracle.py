@@ -203,7 +203,7 @@ def naive_proxy_text(g: Grammar, y: int, y2: int, pp) -> tuple[tuple, int, int, 
         s, pos = upper[i], starts[i]
         if t.level[s] != level + 1:
             kids = [s]
-        elif t.kind[s] == POWER:
+        elif t.level[s] & 1:  # a power
             kids = [t.arg0[s]] * t.arg1[s]
         else:
             kids = [t.arg0[s], t.arg1[s]]

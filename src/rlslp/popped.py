@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
-from .grammar import PAIR, Grammar
+from .grammar import Grammar
 from .navigator import Cursor, Navigator, ahead, leaf, step, up
 
 
@@ -45,10 +45,10 @@ class PoppedSeq:
         return out
 
 
-def _pop(nav: Navigator, v: Cursor, v_p: Cursor, k: int, forward: bool,
-         kind: list[int]) -> tuple[Run | None, Cursor | None]:
+def _pop(nav: Navigator, v: Cursor, v_p: Cursor, k: int,
+         forward: bool) -> tuple[Run | None, Cursor | None]:
     """Pop L_k (forward) or R_k (backward) at the level-k boundary node ``v``,
-    whose level-(k+1) node is ``v_p``.
+    whose level-(k+1) node ``v_p`` (unless ``v`` itself) is a pair iff k is odd.
 
     Returns the run, None when ``v`` is the first child in the direction of
     travel of a pair (that block is compressed, not popped), and the next
@@ -56,7 +56,7 @@ def _pop(nav: Navigator, v: Cursor, v_p: Cursor, k: int, forward: bool,
     """
     if v_p is v:  # a subdivided edge: v is a block of its own
         return (v[1], 1), step(nav, v, k + 1, forward)
-    if kind[v_p[1]] == PAIR and (v[0] == v_p[0]) == forward:
+    if k & 1 and (v[0] == v_p[0]) == forward:
         return None, v_p
     return (v[1], ahead(nav, v, forward) + 1), step(nav, v_p, k + 1, forward)
 
@@ -74,7 +74,6 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
         raise EmptyFragmentError("popped sequence of an empty fragment")
     if nav is None:
         nav = Navigator(g)
-    kind = g.table.kind
     explen = g.table.explen
     lo = leaf(nav, x_start)
     hi = leaf(nav, x_end - 1)
@@ -85,18 +84,18 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
         # lo and hi are the boundary nodes of the shrunken fragment at level k
         lo_p = up(nav, lo, k)
         hi_p = up(nav, hi, k)
-        # One block spans the level-k string unless L_k is empty: lo is
-        # the left child of a two-distinct-symbol pair and the string is
-        # longer than one symbol.  Then pop it all on the left and stop.
-        if lo_p[0] == hi_p[0] and not (lo_p is not lo and lo[0] == lo_p[0]
-                                       and lo[0] != hi[0] and kind[lo_p[1]] == PAIR):
+        # One block spans the level-k string unless L_k is empty: lo is the
+        # left child of a pair (k is odd) of two distinct symbols and the
+        # string is longer than one symbol.  Then pop it all on the left and stop.
+        if lo_p[0] == hi_p[0] and not (k & 1 and lo_p is not lo and lo[0] == lo_p[0]
+                                       and lo[0] != hi[0]):
             e = ahead(nav, hi, False) - ahead(nav, lo, False) + 1 if lo_p is not lo else 1
             left.append((lo[1], e))
             right.append(None)
             break
 
-        l_run, lo_next = _pop(nav, lo, lo_p, k, True, kind)
-        r_run, hi_next = _pop(nav, hi, hi_p, k, False, kind)
+        l_run, lo_next = _pop(nav, lo, lo_p, k, True)
+        r_run, hi_next = _pop(nav, hi, hi_p, k, False)
         left.append(l_run)
         right.append(r_run)
         if l_run is not None and r_run is not None and (

@@ -37,8 +37,7 @@ def write_v1_index(g, path) -> None:
     t = g.table
     lines = [f"RLSLP1 version=1 seed={g.seed} rounds={g.rounds} "
              f"text_len={g.text_len} symbols={len(t)} start={g.start}"]
-    for sid in range(len(t)):
-        k = t.kind[sid]
+    for sid, k in enumerate(t.kind):
         if k == TERMINAL:
             lines.append(f"{sid} T {t.arg0[sid]}")
         else:

@@ -17,7 +17,7 @@ from rlslp.errors import (
     EmptyTextError,
     UnclassifiedSymbolError,
 )
-from rlslp.grammar import PAIR, POWER, TERMINAL, SymbolTable
+from rlslp.grammar import POWER, TERMINAL, SymbolTable
 
 from helpers import text_corpus
 
@@ -139,14 +139,20 @@ def test_build_deterministic():
 
 
 def test_level_parity():
+    # a symbol's kind is its level's parity, so a pair on an odd level or a
+    # power on an even one is rejected where records are appended
     for text, seed in text_corpus(16, 128, seed=5):
-        g = build(text, seed)
-        t = g.table
-        for sid in range(len(t)):
-            if t.kind[sid] == PAIR:
-                assert t.level[sid] % 2 == 0
-            elif t.kind[sid] == POWER:
-                assert t.level[sid] % 2 == 1
+        t = build(text, seed).table
+        n = len(t)
+        odd = (max(t.level) + 2) | 1  # above every level, so parity is the only fault
+        for add, args in ((t.add_pair, (0, n - 1, odd)), (t.intern_pair, (0, n - 1, odd)),
+                          (t.add_power, (0, 99, odd + 1)), (t.intern_power, (0, 99, odd + 1))):
+            with pytest.raises(BadLevelError):
+                add(*args)
+            assert len(t) == n and len(t.arg0) == len(t.arg1) == len(t.explen) == n
+        assert t.add_power(0, 99, odd) == n
+        if n > 1:
+            assert t.add_pair(0, n - 1, odd + 1) == n + 1
 
 
 def test_level_string_endpoints():

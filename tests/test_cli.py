@@ -1,10 +1,16 @@
+import errno
 import io
+import os
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import rlslp
 from rlslp import lce, rev_lce
 from rlslp.builder import build
 from rlslp.cli import _arg_code, load_index, main, save_index
@@ -202,12 +208,13 @@ def test_load_rejects_seed_out_of_range(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, match", [
-    ("\n6 P 2 0 2\n", "\n6 P 2 9 2\n", "line 7: symbol id 9 not in table"),
-    ("\n6 P 2 0 2\n", "\n6 P -1 0 2\n", "line 7: symbol id -1 not in table"),
-    ("\n5 R 0 2 1\n", "\n5 R 7 2 1\n", "line 6: symbol id 7 not in table"),
-    ("\n0 T 97\n", "\n0 T -5\n", "line 1: codepoint -5 outside"),
+    ("\n6 P 2 0 2\n", "\n6 P 2 9 2\n", "invalid symbol 6: symbol id 9 not in table"),
+    ("\n6 P 2 0 2\n", "\n6 P -1 0 2\n", "invalid symbol 6: symbol id -1 not in table"),
+    ("\n5 R 0 2 1\n", "\n5 R 7 2 1\n", "invalid symbol 5: symbol id 7 not in table"),
+    ("\n0 T 97\n", "\n0 T -5\n", "invalid symbol 0: codepoint -5 outside"),
+    ("\n6 P 2 0 2\n", "\n6 P 2 0 0\n", "pair on level 0 on line 7"),
 ], ids=["pair-forward-reference", "pair-negative-child", "power-forward-reference",
-        "negative-codepoint"])
+        "negative-codepoint", "pair-on-level-0"])
 def test_load_rejects_bad_record(tmp_path, capsys, old, new, match):
     _assert_rejected(_edited_index(tmp_path, old, new), match, capsys)
 
@@ -217,7 +224,7 @@ def test_load_rejects_bad_record(tmp_path, capsys, old, new, match):
 def test_load_rejects_repeated_production(tmp_path, capsys, record):
     path = _edited_index(tmp_path, " symbols=20 ", " symbols=21 ")
     path.write_text(path.read_text() + record + "\n")
-    _assert_rejected(path, "duplicate symbol on line 21", capsys)
+    _assert_rejected(path, "duplicate symbol 20", capsys)
 
 
 def _v2_index(tmp_path, edit):
@@ -392,6 +399,51 @@ def test_query_batch_matches_one_shot(tmp_path, capsys, monkeypatch):
     for args in (["--batch", "lce", "0", "1"], []):
         assert main(["query", "--index", str(path), *args]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class _Unwritable:
+    """A stdout whose every write fails with ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, s):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("exc", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                 OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["broken-pipe", "disk-full"])
+@pytest.mark.parametrize("args", [["lce", "0", "7"], ["--batch"], None],
+                         ids=["query", "batch", "stats"])
+def test_unwritable_stdout_exit_2(tmp_path, capsys, monkeypatch, exc, args):
+    path = _build_index(tmp_path, "abracadabraabracadabra")
+    capsys.readouterr()
+    argv = ["stats", "--index", str(path)] if args is None else \
+        ["query", "--index", str(path), *args]
+    monkeypatch.setattr("sys.stdin", io.StringIO("lce 0 7\n" * 20_000))
+    monkeypatch.setattr("sys.stdout", _Unwritable(exc))
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {exc}\n"
+
+
+def test_unwritable_stdout_in_a_process(tmp_path):
+    # the reader is gone before the first answer: one error line, exit 2, and
+    # no second complaint when the interpreter flushes stdout at exit
+    path = _build_index(tmp_path, "abracadabraabracadabra")
+    env = dict(os.environ, PYTHONPATH=str(Path(rlslp.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "rlslp.cli", "query", "--index", str(path),
+                             "--batch"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(b"lce 0 7\n" * 20_000, timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_roundtrip_answers_match(tmp_path):

@@ -107,11 +107,12 @@ def test_topological_order_and_hash_consing():
         g = build(text, seed)
         t = g.table
         seen = set()
+        kind = t.kind
         for sid in range(len(t)):
-            if t.kind[sid] == PAIR:
+            if kind[sid] == PAIR:
                 assert t.arg0[sid] < sid and t.arg1[sid] < sid
                 key = (PAIR, t.arg0[sid], t.arg1[sid])
-            elif t.kind[sid] == POWER:
+            elif kind[sid] == POWER:
                 assert t.arg0[sid] < sid
                 key = (POWER, t.arg0[sid], t.arg1[sid])
             else:
@@ -119,5 +120,5 @@ def test_topological_order_and_hash_consing():
             assert key not in seen
             seen.add(key)
             # arguments live strictly below their symbol
-            if t.kind[sid] != TERMINAL:
+            if kind[sid] != TERMINAL:
                 assert t.level[t.arg0[sid]] < t.level[sid]

@@ -56,16 +56,17 @@ def test_child_of_power_and_leaf():
     g = build("baaab", 0)
     nav = Navigator(g)
     t = g.table
+    kind = t.kind
     # the power node for 'aaa' is the highest node starting at position 1
     node = highest(nav, 1, True)
-    while t.kind[node[1]] != POWER:
+    while kind[node[1]] != POWER:
         node = first_child(nav, node, True)
     w = t.explen[t.arg0[node[1]]]
     assert jump(nav, first_child(nav, node, True), 2, True)[0] == node[0] + 2 * w
     last = first_child(nav, node, False)
     assert last[0] == node[0] + 2 * w and ahead(nav, last, True) == 0
     assert jump(nav, last, 2, False)[0] == node[0]
-    assert t.kind[leaf(nav, 0)[1]] == TERMINAL
+    assert kind[leaf(nav, 0)[1]] == TERMINAL
 
 
 def test_child_prefix_sums():
@@ -73,18 +74,19 @@ def test_child_prefix_sums():
         g = build(text, seed)
         nav = Navigator(g)
         t = g.table
+        kind = t.kind
         stack = [(0, g.start, None)]
         while stack:
             node = stack.pop()
             kids = _children(nav, node)
-            assert len(kids) == (2 if t.kind[node[1]] == PAIR else t.arg1[node[1]])
+            assert len(kids) == (2 if kind[node[1]] == PAIR else t.arg1[node[1]])
             expect = node[0]
             for i, c in enumerate(kids):
                 assert c[0] == expect and c[2] is node
                 assert ahead(nav, c, False) == i
                 assert ahead(nav, c, True) == len(kids) - 1 - i
                 expect += t.explen[c[1]]
-                if t.kind[c[1]] != TERMINAL:
+                if kind[c[1]] != TERMINAL:
                     stack.append(c)
             assert expect == node[0] + t.explen[node[1]]
             assert first_child(nav, node, False) == kids[-1]
@@ -95,7 +97,8 @@ def test_index_of():
     nav = Navigator(g)
     t = g.table
     node = leaf(nav, 3)
-    while t.kind[node[1]] != POWER or t.arg1[node[1]] != 4:
+    kind = t.kind
+    while kind[node[1]] != POWER or t.arg1[node[1]] != 4:
         node = node[2]
     # the child covering node.pos + 3 is the fourth copy: three before it
     c = leaf(nav, node[0] + 3)
