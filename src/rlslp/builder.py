@@ -145,26 +145,14 @@ def build(text: str, seed: int = 0) -> Grammar:
 
 
 def level_string(g: Grammar, k: int) -> LevelString:
-    """Reconstruct the level-``k`` string by expanding symbols above level ``k``.
+    """The level-``k`` string, ``g.table.below(g.start, k)``: the start symbol
+    expanded down to the symbols of level at most ``k``.
 
     Used by tests and the oracle; queries never materialize level strings.
     """
     if not (0 <= k <= g.rounds):
         raise BadLevelError(f"level {k} outside [0, {g.rounds}]")
-    t = g.table
-    lvl = t.level
-    out: list[int] = []
-    stack = [g.start]
-    while stack:
-        s = stack.pop()
-        if lvl[s] <= k:
-            out.append(s)
-        elif lvl[s] & 1:  # a power
-            stack.extend([t.arg0[s]] * t.arg1[s])
-        else:  # a pair
-            stack.append(t.arg1[s])
-            stack.append(t.arg0[s])
-    return LevelString(k, out)
+    return LevelString(k, g.table.below(g.start, k))
 
 
 def partition_for_level(g: Grammar, k: int) -> dict[int, str]:

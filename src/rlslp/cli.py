@@ -11,17 +11,21 @@ mapped to codepoints 0-255 unless --utf8 is given.
 
 Exit codes: 0 success, 2 malformed arguments (a bad selftest option
 included), unreadable/invalid input (an index whose header or levels
-disagree with its symbols, or a version-2 payload of the wrong size,
-included), an index that cannot be written or a stdout that cannot be
-written (one ``error: cannot write output`` line on stderr, any command),
-3 for out-of-range positions or an IPM ratio violation, 4 when a query
-fails an internal consistency check (a bug; the message names the check).
+disagree with its symbols, a level above 65535 or a version-2 payload of
+the wrong size included), an index that cannot be written or a stdout that
+cannot be written (one ``error: cannot write output`` line on stderr, any
+command), 3 for out-of-range positions or an IPM ratio violation, 4 when a
+query fails an internal consistency check (a bug; the message names the
+check).
 
-``query --batch`` loads the index once and answers one query per stdin
-line (``lce i i2``, ``revlce i i2``, ``ipm x x2 y y2``) with one stdout
-line in the one-shot format.  A bad line gets an ``error: ...`` line (2
-for a malformed line, 3 for a query error) or an ``internal error: ...``
-line (4) and does not stop the stream; the exit code is the worst seen.
+``query`` takes one query as words, ``lce i i2``, ``revlce i i2`` or ``ipm x
+x2 y y2`` (``_ARITY``), and ``query --batch`` loads the index once and reads
+one such query per stdin line; both go through one parser, ``_answer``.  An
+answer goes to stdout.  A one-shot error goes to stderr: ``error: bad query
+line '...'`` (2, the words are not one of the three forms), ``error: ...``
+(3, a query error) or ``internal error: ...`` (4).  In a batch the same line
+goes to stdout instead, the stream goes on, and the exit code is the worst
+seen.
 """
 
 from __future__ import annotations
@@ -147,8 +151,10 @@ def _read_v2(payload: bytes, count: int, text_len: int):
 def _table(records, count: int) -> SymbolTable:
     """The table of ``count`` ``(arg0, arg1, level)`` records in id order, each
     checked and appended by ``SymbolTable.add_*``; the kind follows from the
-    level (a terminal's ``arg1`` is 0).  One local dict, dropped on return,
-    rejects a production repeated under a new id."""
+    level (a terminal's ``arg1`` is 0), and a level above 65535, which a
+    version-1 line can state but ``save_index`` cannot write, is rejected.
+    One local dict, dropped on return, rejects a production repeated under
+    a new id."""
     table = SymbolTable()
     add_terminal, add_pair, add_power = table.add_terminal, table.add_pair, table.add_power
     # One int key per production, the level left out; the kinds' ranges are
@@ -157,6 +163,8 @@ def _table(records, count: int) -> SymbolTable:
     seen: dict[int, int] = {}
     try:
         for sid, (b, c, lv) in enumerate(records):
+            if lv > 0xFFFF:  # what the version-2 level column can hold
+                raise IndexFormatError(f"level {lv} above 65535 at symbol {sid}")
             if lv & 1:
                 add_power(b, c, lv)
                 key = -1 - (c * count + b)
@@ -251,8 +259,16 @@ def _cmd_build(args) -> int:
 _ARITY = {"lce": 2, "revlce": 2, "ipm": 4}
 
 
-def _answer(g: Grammar, op: str, nums) -> tuple[str, int]:
-    """The output line of one query and its exit code."""
+def _answer(g: Grammar, line: str) -> tuple[str, int]:
+    """The output line and exit code of one query line: ``op``, then its
+    ``_ARITY[op]`` integers."""
+    op, *args = line.split() or [""]
+    try:
+        nums = [int(a) for a in args]
+    except ValueError:
+        nums = None
+    if nums is None or len(nums) != _ARITY.get(op):
+        return f"error: bad query line {line.strip()!r}", 2
     try:
         if op == "lce":
             return str(lce(g, *nums)), 0
@@ -266,34 +282,20 @@ def _answer(g: Grammar, op: str, nums) -> tuple[str, int]:
         return f"error: {exc}", 3
 
 
-def _batch(g: Grammar, lines) -> int:
-    """Answer one query per input line on stdout; return the worst exit code."""
+def _cmd_query(args) -> int:
+    if args.batch == bool(args.query):
+        return _fail("query takes one of lce, revlce, ipm or --batch")
+    g = load_index(args.index)
+    if not args.batch:
+        out, code = _answer(g, " ".join(args.query))
+        print(out, file=sys.stderr if code else sys.stdout)
+        return code
     worst = 0
-    for raw in lines:
-        op, *args = raw.split() or [""]
-        try:
-            nums = [int(a) for a in args]
-        except ValueError:
-            nums = None
-        if nums is None or len(nums) != _ARITY.get(op):
-            out, code = f"error: bad query line {raw.strip()!r}", 2
-        else:
-            out, code = _answer(g, op, nums)
+    for line in sys.stdin:
+        out, code = _answer(g, line)
         print(out, flush=True)
         worst = max(worst, code)
     return worst
-
-
-def _cmd_query(args) -> int:
-    if args.batch == (args.op is not None):
-        return _fail("query takes one of lce, revlce, ipm or --batch")
-    g = load_index(args.index)
-    if args.batch:
-        return _batch(g, sys.stdin)
-    nums = (args.x, args.x2, args.y, args.y2) if args.op == "ipm" else (args.i, args.i2)
-    out, code = _answer(g, args.op, nums)
-    print(out, file=sys.stderr if code else sys.stdout)
-    return code
 
 
 def _cmd_stats(args) -> int:
@@ -429,18 +431,9 @@ def _parser() -> argparse.ArgumentParser:
     qp = sub.add_parser("query", help="answer one query, or one per stdin line, against an index")
     qp.add_argument("--index", required=True)
     qp.add_argument("--batch", action="store_true",
-                    help="read queries from stdin, one per line: lce i i2 | revlce i i2 | "
-                         "ipm x x2 y y2")
-    ops = qp.add_subparsers(dest="op")
-    op_lce = ops.add_parser("lce", help="longest common extension of two suffixes")
-    op_lce.add_argument("i", type=int)
-    op_lce.add_argument("i2", type=int)
-    op_rev = ops.add_parser("revlce", help="longest common suffix of two prefixes")
-    op_rev.add_argument("i", type=int)
-    op_rev.add_argument("i2", type=int)
-    op_ipm = ops.add_parser("ipm", help="occurrences of T[x,x2) inside T[y,y2)")
-    for name in ("x", "x2", "y", "y2"):
-        op_ipm.add_argument(name, type=int)
+                    help="read queries from stdin, one per line")
+    qp.add_argument("query", nargs="*",
+                    help="one query: lce i i2 | revlce i i2 | ipm x x2 y y2")
     qp.set_defaults(func=_cmd_query)
 
     st = sub.add_parser("stats", help="print index statistics")

@@ -65,6 +65,25 @@ class SymbolTable:
         if not (0 <= sid < len(self.level)):
             raise UnknownSymbolError(f"symbol id {sid} not in table")
 
+    def below(self, sid: int, k: int) -> list[int]:
+        """The symbols of level at most ``k >= 0`` that ``sid`` expands to, in
+        text order: its level-``k`` string.  One iterative walk, so a grammar
+        of any depth expands without recursion."""
+        self.check(sid)
+        lvl, arg0, arg1 = self.level, self.arg0, self.arg1
+        out: list[int] = []
+        stack = [sid]
+        while stack:
+            s = stack.pop()
+            if lvl[s] <= k:
+                out.append(s)
+            elif lvl[s] & 1:  # a power
+                stack.extend([arg0[s]] * arg1[s])
+            else:  # a pair
+                stack.append(arg1[s])
+                stack.append(arg0[s])
+        return out
+
     def add_terminal(self, cp: int) -> int:
         """Check and append the terminal with codepoint ``cp``."""
         if not 0 <= cp < 0x110000:
@@ -157,25 +176,8 @@ class Grammar:
     text_len: int
 
     def expand(self, sid: int) -> str:
-        """Expansion string of a symbol.
-
-        Output has length ``explen(sid)``; intended for tests and
-        desk-scale use, not for large grammars.
-        """
-        t = self.table
-        t.check(sid)
-
-        def rec(s: int) -> str:
-            lv = t.level[s]
-            if lv & 1:
-                return rec(t.arg0[s]) * t.arg1[s]
-            if lv:
-                return rec(t.arg0[s]) + rec(t.arg1[s])
-            return chr(t.arg0[s])
-
-        return rec(sid)
-
-    @property
-    def text(self) -> str:
-        """The indexed text (desk-scale use only)."""
-        return self.expand(self.start)
+        """Expansion string of a symbol, of length ``explen(sid)``: the
+        codepoints of ``table.below(sid, 0)``.  For tests and desk-scale use,
+        not for large grammars."""
+        arg0 = self.table.arg0
+        return "".join([chr(arg0[s]) for s in self.table.below(sid, 0)])

@@ -12,9 +12,10 @@ import pytest
 
 import rlslp
 from rlslp import lce, rev_lce
-from rlslp.builder import build
+from rlslp.builder import build, level_string
 from rlslp.cli import _arg_code, load_index, main, save_index
 from rlslp.errors import IndexFormatError, InternalInvariantError
+from rlslp.grammar import Grammar, SymbolTable
 from rlslp.ipm import ipm_query
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels
 
@@ -110,10 +111,14 @@ def test_query_error_exit_codes(tmp_path, capsys):
     # out of range -> 3
     assert main(["query", "--index", str(path), "lce", "0", "9"]) == 3
     capsys.readouterr()
-    # malformed arguments -> argparse exits 2
-    with pytest.raises(SystemExit) as exc:
-        main(["query", "--index", str(path), "lce", "0"])
-    assert exc.value.code == 2
+    # words that are not one query form -> the batch's error line, on stderr, 2
+    for words in ("lce 0", "lce 0 x", "foo 1 2", "lce 0 1 2"):
+        assert main(["query", "--index", str(path), *words.split()]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: bad query line '{words}'\n" and out.out == ""
+    # a leading minus is still a number: out of range -> 3
+    assert main(["query", "--index", str(path), "lce", "-1", "3"]) == 3
+    assert capsys.readouterr().err == "error: positions (-1, 3) outside [0, 4]\n"
 
 
 def test_query_internal_error_exit_4(tmp_path, capsys, monkeypatch):
@@ -225,6 +230,46 @@ def test_load_rejects_repeated_production(tmp_path, capsys, record):
     path = _edited_index(tmp_path, " symbols=20 ", " symbols=21 ")
     path.write_text(path.read_text() + record + "\n")
     _assert_rejected(path, "duplicate symbol 20", capsys)
+
+
+def _ab_index_at_level(tmp_path, level):
+    """The "ab" index (seed 0), written in version 1, with its last record,
+    the start pair, and the header's ``rounds`` moved to ``level``."""
+    g = build("ab", 0)
+    path = tmp_path / "v1.idx"
+    write_v1_index(g, path)
+    head, *records = path.read_text().splitlines()
+    sid, tag, b, c, _ = records[-1].split()
+    assert tag == "P" and int(sid) == g.start
+    records[-1] = f"{sid} P {b} {c} {level}"
+    head = head.replace(f" rounds={g.rounds} ", f" rounds={level} ")
+    path.write_text("\n".join([head, *records]) + "\n")
+    return path
+
+
+def test_load_rejects_level_version_2_cannot_hold(tmp_path, capsys):
+    _assert_rejected(_ab_index_at_level(tmp_path, 70000),
+                     "level 70000 above 65535 at symbol 2", capsys)
+    # the highest level a pair can have still loads, saves and loads again
+    g = load_index(str(_ab_index_at_level(tmp_path, 65534)))
+    save_index(g, str(tmp_path / "v2.idx"))
+    g2 = load_index(str(tmp_path / "v2.idx"))
+    assert g2.rounds == 65534 and g2.table.level == g.table.level
+    assert main(["query", "--index", str(tmp_path / "v2.idx"), "lce", "0", "1"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_deep_loaded_grammar_expands(tmp_path):
+    # a chain of 1500 pairs, (((ab)b)b)..., deeper than the recursion limit
+    t = SymbolTable()
+    s, b = t.add_terminal(ord("a")), t.add_terminal(ord("b"))
+    for k in range(1, 1500):
+        s = t.add_pair(s, b, 2 * k)
+    path = tmp_path / "deep.idx"
+    save_index(Grammar(table=t, start=s, rounds=2 * 1499, seed=0, text_len=1500), str(path))
+    g = load_index(str(path))
+    assert g.expand(g.start) == "a" + "b" * 1499
+    assert g.expand(g.start) == "".join(g.expand(s) for s in level_string(g, 0).symbols)
 
 
 def _v2_index(tmp_path, edit):
