@@ -473,7 +473,12 @@ class _Stdout:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    ap = _parser()
+    args, extra = ap.parse_known_args(argv)
+    if extra:  # argparse takes a query word like ``-x`` for an unknown option
+        if args.cmd != "query":
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.query += extra
     with redirect_stdout(_Stdout(sys.stdout)):
         try:
             code = args.func(args)

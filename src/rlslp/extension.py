@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import OutOfRangeError
 from .grammar import Grammar
-from .navigator import Navigator, ahead, climb, first_child, highest, jump
+from .navigator import Navigator, ahead, first_child, highest, jump, step
 
 
 def _extension(g: Grammar, i: int, i2: int, forward: bool, nav: Navigator | None) -> int:
@@ -24,6 +24,7 @@ def _extension(g: Grammar, i: int, i2: int, forward: bool, nav: Navigator | None
     if nav is None:
         nav = Navigator(g)
     ln = g.table.explen
+    top = g.table.level[g.start]  # a climb is a step at the root's level
     v = highest(nav, i, forward)
     v2 = highest(nav, i2, forward)
     total = 0
@@ -38,8 +39,8 @@ def _extension(g: Grammar, i: int, i2: int, forward: bool, nav: Navigator | None
                 v2 = jump(nav, v2, d, forward)
             else:
                 total += ln[s]
-                v = climb(nav, v, forward)
-                v2 = climb(nav, v2, forward)
+                v = step(nav, v, top, forward)
+                v2 = step(nav, v2, top, forward)
         else:
             l1 = ln[s]
             l2 = ln[s2]

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .extension import lce, rev_lce
 from .grammar import Grammar
-from .navigator import Navigator, leaf, step, up
+from .navigator import Navigator, leaf, step
 from .popped import PoppedSeq, Run, pseq
 
 @dataclass(frozen=True)
@@ -218,21 +218,25 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     if nav is None:
         nav = Navigator(g)
     t = g.table
+    lvl, a0, a1, ln = t.level, t.arg0, t.arg1, t.explen
     level = pp.level
     m = y + (y2 - y) // 2
 
+    # lift T[m] to level+1, one ``up`` move per level, inline
     v = leaf(nav, m)
     m_node = v  # proxy-level ancestor of T[m]
-    for k in range(level + 1):
-        v = up(nav, v, k)
-        if k + 1 == level:
+    for k in range(1, level + 2):
+        par = v[2]
+        if par is not None and lvl[par[1]] == k:
+            v = par
+        if k == level:
             m_node = v
+    nav.steps += level + 1
 
     # the block of T[m] at level+1 and the blocks rules (a)-(c) keep beside it
     top = level + 1
     window = pp.sym_len + level - 1
     radius = 2 * level + 2
-    lvl, a0, a1, ln = t.level, t.arg0, t.arg1, t.explen
     blocks = [v]
     for forward in (False, True):
         cur = v

@@ -15,10 +15,15 @@ created above it.  ``up`` and ``step`` move in that view.
 Moves take ``forward``: True walks towards the end of the text, False
 towards its start.  Positions are always plain text positions.
 
-Every move charges steps to the ``Navigator`` it is given: a descent or a
-climb two per level, ``up``, ``ahead``, ``jump`` and ``first_child`` one
-each.  The complexity tests read the counter back per query.  Chains of
-``up`` and ``step`` in one direction cost O(r + chain length) overall.
+Every move charges steps to the ``Navigator`` it is given: a descent two
+per level, ``up``, ``ahead``, ``jump`` and ``first_child`` one each.
+``step``, the one climbing-and-descending loop, charges two per parent it
+climbs to (a sibling test, then the move) and one per level it descends;
+``climb`` is ``step`` at the root's level, which never descends.  LCE uses
+``ahead``, ``jump`` and ``first_child`` as single moves; ``pseq`` and
+``proxy_text`` do their ``up`` moves inline.  The complexity tests read
+the counter back per query.  Chains of ``up`` and ``step`` in one
+direction cost O(r + chain length) overall.
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ Cursor = tuple  # (pos, sym, parent cursor or None)
 
 
 class Navigator:
-    """The grammar walked by the cursor moves, and their step counter."""
+    """The grammar walked, its table's columns for ``step``, and the step counter."""
 
-    __slots__ = ("g", "t", "steps")
+    __slots__ = ("g", "t", "cols", "steps")
 
     def __init__(self, g: Grammar):
         self.g = g
-        self.t = g.table
+        self.t = t = g.table
+        self.cols = (t.level, t.arg0, t.arg1, t.explen)
         self.steps = 0
 
 
@@ -117,17 +123,6 @@ def first_child(nav: Navigator, v: Cursor, forward: bool) -> Cursor:
     return (pos + t.explen[b], t.arg1[s], v)
 
 
-def climb(nav: Navigator, v: Cursor, forward: bool) -> Cursor | None:
-    """Highest cursor whose fragment starts right after ``v``'s (forward) or
-    ends right before it (backward); None at the end of the text."""
-    while v[2] is not None:
-        if ahead(nav, v, forward):
-            return jump(nav, v, 1, forward)
-        v = v[2]
-        nav.steps += 1
-    return None
-
-
 def up(nav: Navigator, v: Cursor, k: int) -> Cursor:
     """Level-(k+1) node above the level-k node ``v``: its parent, or ``v``
     itself when the edge is subdivided (the parent symbol was created above
@@ -141,10 +136,43 @@ def up(nav: Navigator, v: Cursor, k: int) -> Cursor:
 
 def step(nav: Navigator, v: Cursor, k: int, forward: bool) -> Cursor | None:
     """Next (forward) or previous (backward) character of level string ``k``
-    after the level-k node ``v``; None past the end of the string."""
-    v = climb(nav, v, forward)
-    if v is not None:
-        level = nav.t.level
-        while level[v[1]] > k:
-            v = first_child(nav, v, forward)
+    after the level-k node ``v``; None past the end of the string.  Climbs
+    to the sibling ahead of ``v`` or of its nearest ancestor that has one,
+    then takes first children down to level k, all in one frame."""
+    lvl, a0, a1, ln = nav.cols
+    pos, s, par = v
+    n = 0
+    while par is not None:
+        n += 2
+        ps = par[1]
+        if lvl[ps] & 1:  # a power: a sibling unless s is its last (first) copy
+            if pos + ln[s] < par[0] + ln[ps] if forward else pos > par[0]:
+                pos += ln[s] if forward else -ln[s]
+                break
+        elif (pos == par[0]) == forward:  # a pair: the other child
+            pos, s = (pos + ln[s], a1[ps]) if forward else (par[0], a0[ps])
+            break
+        pos, s, par = par
+    else:
+        nav.steps += n
+        return None
+    v = (pos, s, par)
+    while lvl[s] > k:
+        n += 1
+        b = a0[s]
+        if not forward:
+            if lvl[s] & 1:  # a power: its last copy
+                pos += ln[s] - ln[b]
+            else:
+                pos += ln[b]
+                b = a1[s]
+        v = (pos, b, v)
+        s = b
+    nav.steps += n
     return v
+
+
+def climb(nav: Navigator, v: Cursor, forward: bool) -> Cursor | None:
+    """Highest cursor whose fragment starts right after ``v``'s (forward) or
+    ends right before it (backward); None at the end of the text."""
+    return step(nav, v, nav.t.level[nav.g.start], forward)

@@ -7,7 +7,8 @@ decomposition is run-length encoded as ``(sym, exponent)`` tuples, and
 concatenating the expansions of L_0..L_q, R_q..R_0 reconstitutes X.  The
 computation walks the two boundary nodes of the fragment's induced
 occurrence level by level, in O(r) cursor moves, without materializing any
-level string: one pop move, run forward for L_k and backward for R_k.
+level string.  Each level lifts both boundary nodes inline, reads L_k and
+R_k off their cursors, and moves each on with one ``step``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import accumulate
 
 from .errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
 from .grammar import Grammar
-from .navigator import Cursor, Navigator, ahead, leaf, step, up
+from .navigator import Navigator, leaf, step
 
 
 Run = tuple  # (sym, exponent): the run sym^exponent of a run-length encoding
@@ -45,28 +46,12 @@ class PoppedSeq:
         return out
 
 
-def _pop(nav: Navigator, v: Cursor, v_p: Cursor, k: int,
-         forward: bool) -> tuple[Run | None, Cursor | None]:
-    """Pop L_k (forward) or R_k (backward) at the level-k boundary node ``v``,
-    whose level-(k+1) node ``v_p`` (unless ``v`` itself) is a pair iff k is odd.
-
-    Returns the run, None when ``v`` is the first child in the direction of
-    travel of a pair (that block is compressed, not popped), and the next
-    boundary node at level k+1 (None past the end of the text).
-    """
-    if v_p is v:  # a subdivided edge: v is a block of its own
-        return (v[1], 1), step(nav, v, k + 1, forward)
-    if k & 1 and (v[0] == v_p[0]) == forward:
-        return None, v_p
-    return (v[1], ahead(nav, v, forward) + 1), step(nav, v_p, k + 1, forward)
-
-
 def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> PoppedSeq:
     """Popped sequence of the fragment T[x_start, x_end) in O(r) node steps.
 
-    One pop move pops each level's leading block walking forward and its
-    trailing block walking backward, so each boundary walk is one chain of
-    ``up`` and ``step`` moves.
+    Each level pops its leading block walking forward and its trailing
+    block walking backward, so each boundary walk is one chain of ``up``
+    and ``step`` moves (the ``up`` and ``ahead`` moves inline).
     """
     if not (0 <= x_start and x_end <= g.text_len):
         raise OutOfRangeError(f"fragment [{x_start}, {x_end}) outside [0, {g.text_len})")
@@ -74,28 +59,47 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
         raise EmptyFragmentError("popped sequence of an empty fragment")
     if nav is None:
         nav = Navigator(g)
-    explen = g.table.explen
+    explen, level = g.table.explen, g.table.level
     lo = leaf(nav, x_start)
     hi = leaf(nav, x_end - 1)
 
     left: list[Run | None] = []
     right: list[Run | None] = []
     for k in range(g.rounds + 2):
-        # lo and hi are the boundary nodes of the shrunken fragment at level k
-        lo_p = up(nav, lo, k)
-        hi_p = up(nav, hi, k)
+        # lo and hi are the boundary nodes of the shrunken fragment at level k;
+        # ``up`` inline: their level-(k+1) nodes, a power (k even), a pair (k odd) or themselves
+        lo_p = lo if lo[2] is None or level[lo[2][1]] != k + 1 else lo[2]
+        hi_p = hi if hi[2] is None or level[hi[2][1]] != k + 1 else hi[2]
+        nav.steps += 2
         # One block spans the level-k string unless L_k is empty: lo is the
         # left child of a pair (k is odd) of two distinct symbols and the
         # string is longer than one symbol.  Then pop it all on the left and stop.
         if lo_p[0] == hi_p[0] and not (k & 1 and lo_p is not lo and lo[0] == lo_p[0]
                                        and lo[0] != hi[0]):
-            e = ahead(nav, hi, False) - ahead(nav, lo, False) + 1 if lo_p is not lo else 1
-            left.append((lo[1], e))
+            if lo_p is not lo:  # lo and hi are siblings: two ``ahead`` moves
+                nav.steps += 2
+            left.append((lo[1], (hi[0] - lo[0]) // explen[lo[1]] + 1))
             right.append(None)
             break
 
-        l_run, lo_next = _pop(nav, lo, lo_p, k, True)
-        r_run, hi_next = _pop(nav, hi, hi_p, k, False)
+        # Pop L_k at lo and R_k at hi: a subdivided edge's node alone, nothing at a pair's
+        # first child in the direction of travel, else the node and its siblings ahead.
+        if lo_p is lo:
+            l_run, lo_next = (lo[1], 1), step(nav, lo, k + 1, True)
+        elif k & 1 and lo[0] == lo_p[0]:
+            l_run, lo_next = None, lo_p
+        else:
+            nav.steps += 1  # ``ahead``
+            l_run = (lo[1], (lo_p[0] + explen[lo_p[1]] - lo[0]) // explen[lo[1]])
+            lo_next = step(nav, lo_p, k + 1, True)
+        if hi_p is hi:
+            r_run, hi_next = (hi[1], 1), step(nav, hi, k + 1, False)
+        elif k & 1 and hi[0] != hi_p[0]:
+            r_run, hi_next = None, hi_p
+        else:
+            nav.steps += 1  # ``ahead``
+            r_run = (hi[1], (hi[0] - hi_p[0]) // explen[hi[1]] + 1)
+            hi_next = step(nav, hi_p, k + 1, False)
         left.append(l_run)
         right.append(r_run)
         if l_run is not None and r_run is not None and (

@@ -111,14 +111,21 @@ def test_query_error_exit_codes(tmp_path, capsys):
     # out of range -> 3
     assert main(["query", "--index", str(path), "lce", "0", "9"]) == 3
     capsys.readouterr()
-    # words that are not one query form -> the batch's error line, on stderr, 2
-    for words in ("lce 0", "lce 0 x", "foo 1 2", "lce 0 1 2"):
+    # words that are not one query form -> the batch's error line, on stderr,
+    # 2; a word that argparse would take for an option included
+    for words in ("lce 0", "lce 0 x", "foo 1 2", "lce 0 1 2", "lce 0 -x", "lce -x 0",
+                  "lce 0 --foo"):
         assert main(["query", "--index", str(path), *words.split()]) == 2
         out = capsys.readouterr()
         assert out.err == f"error: bad query line '{words}'\n" and out.out == ""
     # a leading minus is still a number: out of range -> 3
     assert main(["query", "--index", str(path), "lce", "-1", "3"]) == 3
     assert capsys.readouterr().err == "error: positions (-1, 3) outside [0, 4]\n"
+    # an unknown option elsewhere is still argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--index", str(path), "-x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
 
 
 def test_query_internal_error_exit_4(tmp_path, capsys, monkeypatch):

@@ -4,11 +4,12 @@ import pytest
 
 from rlslp import Navigator, build, ipm_query, lce, pseq, rev_lce
 from rlslp.builder import level_string
+from rlslp.cli import load_index, save_index
 from rlslp.errors import OutOfRangeError
 from rlslp.grammar import PAIR, POWER, TERMINAL
 from rlslp.navigator import ahead, climb, first_child, highest, jump, leaf, step, up
 
-from helpers import random_ipm_pair, text_corpus
+from helpers import random_ipm_pair, ref_climb, ref_pseq, ref_step, text_corpus
 
 
 def _children(nav, v):
@@ -220,6 +221,49 @@ def test_climb_reaches_next_fragment():
             assert prv is None
         else:
             assert prv[0] + ln[prv[1]] == j and prv == highest(nav, j, False)
+
+
+def _built_and_loaded(tmp_path, count, max_len, seed):
+    """Small built grammars, each followed by the same grammar saved and loaded."""
+    for i, (text, build_seed) in enumerate(text_corpus(count, max_len, seed=seed)):
+        g = build(text, build_seed)
+        yield g
+        save_index(g, tmp_path / f"{i}.idx")
+        yield load_index(tmp_path / f"{i}.idx")
+
+
+def _charged(nav, move, *args):
+    before = nav.steps
+    return move(nav, *args), nav.steps - before
+
+
+def test_fused_moves_match_single_moves(tmp_path):
+    # step and climb return the reference's cursor and charge its steps,
+    # call by call: for every level-k node, every k and both directions
+    calls = 0
+    for g in _built_and_loaded(tmp_path, 12, 96, 47):
+        nav = Navigator(g)
+        for k in range(g.rounds + 2):
+            nodes = {v[0]: v for v in (_at_level(nav, j, k) for j in range(g.text_len))}
+            for v in nodes.values():
+                for forward in (True, False):
+                    assert (_charged(nav, step, v, k, forward)
+                            == _charged(nav, ref_step, v, k, forward)), (k, v, forward)
+                    assert (_charged(nav, climb, v, forward)
+                            == _charged(nav, ref_climb, v, forward)), (v, forward)
+                    calls += 1
+    assert calls > 10_000
+
+
+def test_pseq_pops_match_single_moves(tmp_path):
+    # pseq's inline lifts and pops give the reference's blocks and charges
+    for g in _built_and_loaded(tmp_path, 8, 40, 53):
+        nav = Navigator(g)
+        for x in range(g.text_len):
+            for x2 in range(x + 1, g.text_len + 1):
+                got, cost = _charged(nav, lambda nav: pseq(g, x, x2, nav))
+                want, ref_cost = _charged(nav, ref_pseq, x, x2)
+                assert ((got.left, got.right), cost) == (want, ref_cost), (x, x2)
 
 
 def test_forward_chain_step_bound():
