@@ -478,7 +478,11 @@ def main(argv: list[str] | None = None) -> int:
     if extra:  # argparse takes a query word like ``-x`` for an unknown option
         if args.cmd != "query":
             ap.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.query += extra
+        # parse again with those words marked as plain ones, so each keeps its place
+        odd = {w for w in extra if w.startswith("-")}
+        words = sys.argv[1:] if argv is None else argv
+        args, extra = ap.parse_known_args(["\0" + w if w in odd else w for w in words])
+        args.query = [w.lstrip("\0") for w in args.query + extra]
     with redirect_stdout(_Stdout(sys.stdout)):
         try:
             code = args.func(args)

@@ -10,20 +10,21 @@ The uncompressed parse tree subdivides edges so that each character of
 each level string is a node of its own.  Such a node is a cursor plus the
 level ``k``, carried beside it as an int: the cursor of the parse-tree node
 whose symbol was created at or below round k and whose parent's was
-created above it.  ``up`` and ``step`` move in that view.
+created above it.  ``step`` moves in that view.
 
 Moves take ``forward``: True walks towards the end of the text, False
 towards its start.  Positions are always plain text positions.
 
-Every move charges steps to the ``Navigator`` it is given: a descent two
-per level, ``up``, ``ahead``, ``jump`` and ``first_child`` one each.
-``step``, the one climbing-and-descending loop, charges two per parent it
-climbs to (a sibling test, then the move) and one per level it descends;
-``climb`` is ``step`` at the root's level, which never descends.  LCE uses
-``ahead``, ``jump`` and ``first_child`` as single moves; ``pseq`` and
-``proxy_text`` do their ``up`` moves inline.  The complexity tests read
-the counter back per query.  Chains of ``up`` and ``step`` in one
-direction cost O(r + chain length) overall.
+The engine is ``leaf`` and ``highest``, which descend from the root, and
+``step``, the one climbing-and-descending loop.  Each charges steps to the
+``Navigator`` it is given: a descent two per level; ``step`` two per
+parent it climbs to (a sibling test, then the move) and one per level it
+descends.  The query loops do their single moves inline on
+``Navigator.cols`` and charge one step for each: ``up`` in ``pseq`` and
+``proxy_text``; ``ahead``, ``jump`` and ``first_child`` in LCE, whose
+climb charges as ``step``'s does.  The complexity tests read the counter
+back per query.  Chains of ``up`` and ``step`` in one direction cost
+O(r + chain length) overall.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ Cursor = tuple  # (pos, sym, parent cursor or None)
 
 
 class Navigator:
-    """The grammar walked, its table's columns for ``step``, and the step counter."""
+    """The grammar walked, its table's columns for the moves, and the step counter."""
 
-    __slots__ = ("g", "t", "cols", "steps")
+    __slots__ = ("g", "cols", "steps")
 
     def __init__(self, g: Grammar):
         self.g = g
-        self.t = t = g.table
+        t = g.table
         self.cols = (t.level, t.arg0, t.arg1, t.explen)
         self.steps = 0
 
@@ -49,10 +50,9 @@ class Navigator:
 def _descend(nav: Navigator, j: int, lo: int, hi: int) -> Cursor:
     """Highest cursor on the path to text position ``j`` whose fragment lies
     inside [lo, hi)."""
-    t = nav.t
-    lvl, a0, a1, ln = t.level, t.arg0, t.arg1, t.explen
+    lvl, a0, a1, ln = nav.cols
     s = nav.g.start
-    pos = 0
+    pos = c = 0
     v = (0, s, None)
     while pos < lo or pos + ln[s] > hi:  # so s is not a terminal, which fits
         b = a0[s]
@@ -63,7 +63,8 @@ def _descend(nav: Navigator, j: int, lo: int, hi: int) -> Cursor:
             b = a1[s]
         v = (pos, b, v)
         s = b
-        nav.steps += 2
+        c += 2
+    nav.steps += c
     return v
 
 
@@ -81,57 +82,6 @@ def highest(nav: Navigator, i: int, forward: bool) -> Cursor:
     if forward:
         return _descend(nav, i, i, nav.g.text_len)
     return _descend(nav, i - 1, 0, i)
-
-
-def ahead(nav: Navigator, v: Cursor, forward: bool) -> int:
-    """Number of siblings of ``v`` in the direction of travel; 0 at the root."""
-    par = v[2]
-    if par is None:
-        return 0
-    nav.steps += 1
-    t = nav.t
-    ps = par[1]
-    if t.level[ps] & 1:  # a power
-        idx = (v[0] - par[0]) // t.explen[v[1]]
-        return t.arg1[ps] - 1 - idx if forward else idx
-    return 1 if (v[0] == par[0]) == forward else 0
-
-
-def jump(nav: Navigator, v: Cursor, d: int, forward: bool) -> Cursor:
-    """The ``d``-th sibling of ``v`` in the direction of travel; it must exist."""
-    nav.steps += 1
-    t = nav.t
-    par = v[2]
-    ps = par[1]
-    if t.level[ps] & 1:  # a power
-        w = d * t.explen[v[1]]
-        return (v[0] + w if forward else v[0] - w, v[1], par)
-    b = t.arg0[ps]  # a pair, so d == 1: the other child
-    return (par[0] + t.explen[b], t.arg1[ps], par) if forward else (par[0], b, par)
-
-
-def first_child(nav: Navigator, v: Cursor, forward: bool) -> Cursor:
-    """First child of ``v`` in the direction of travel (the last child backward)."""
-    nav.steps += 1
-    t = nav.t
-    pos, s, _ = v
-    b = t.arg0[s]
-    if forward:
-        return (pos, b, v)
-    if t.level[s] & 1:  # a power
-        return (pos + t.explen[s] - t.explen[b], b, v)
-    return (pos + t.explen[b], t.arg1[s], v)
-
-
-def up(nav: Navigator, v: Cursor, k: int) -> Cursor:
-    """Level-(k+1) node above the level-k node ``v``: its parent, or ``v``
-    itself when the edge is subdivided (the parent symbol was created above
-    round k+1)."""
-    nav.steps += 1
-    par = v[2]
-    if par is not None and nav.t.level[par[1]] == k + 1:
-        return par
-    return v
 
 
 def step(nav: Navigator, v: Cursor, k: int, forward: bool) -> Cursor | None:
@@ -171,8 +121,3 @@ def step(nav: Navigator, v: Cursor, k: int, forward: bool) -> Cursor | None:
     nav.steps += n
     return v
 
-
-def climb(nav: Navigator, v: Cursor, forward: bool) -> Cursor | None:
-    """Highest cursor whose fragment starts right after ``v``'s (forward) or
-    ends right before it (backward); None at the end of the text."""
-    return step(nav, v, nav.t.level[nav.g.start], forward)

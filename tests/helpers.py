@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from rlslp.grammar import PAIR, TERMINAL
-from rlslp.navigator import ahead, first_child, jump, leaf, up
+from rlslp.navigator import highest, leaf, step
 
 ALPHABETS = (1, 2, 4, 26)
 
@@ -48,9 +48,69 @@ def write_v1_index(g, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Reference moves: ``climb``, ``step`` and ``pseq``'s block pop as chains of
-# the single moves ``ahead``, ``jump``, ``first_child`` and ``up``.  The
-# fused moves must return the same cursors and charge the same steps.
+# Reference moves.  The single moves ``ahead``, ``jump``, ``first_child``,
+# ``up`` and ``climb`` are the steps that the query loops take inline, and
+# ``ref_climb``, ``ref_step``, ``ref_pseq`` and ``ref_lce`` rebuild the
+# fused walks as chains of them.  The fused walks must return the same
+# cursors and answers and charge the same steps.
+
+def ahead(nav, v, forward):
+    """Number of siblings of ``v`` in the direction of travel; 0 at the root."""
+    par = v[2]
+    if par is None:
+        return 0
+    nav.steps += 1
+    t = nav.g.table
+    ps = par[1]
+    if t.level[ps] & 1:  # a power
+        idx = (v[0] - par[0]) // t.explen[v[1]]
+        return t.arg1[ps] - 1 - idx if forward else idx
+    return 1 if (v[0] == par[0]) == forward else 0
+
+
+def jump(nav, v, d, forward):
+    """The ``d``-th sibling of ``v`` in the direction of travel; it must exist."""
+    nav.steps += 1
+    t = nav.g.table
+    par = v[2]
+    ps = par[1]
+    if t.level[ps] & 1:  # a power
+        w = d * t.explen[v[1]]
+        return (v[0] + w if forward else v[0] - w, v[1], par)
+    b = t.arg0[ps]  # a pair, so d == 1: the other child
+    return (par[0] + t.explen[b], t.arg1[ps], par) if forward else (par[0], b, par)
+
+
+def first_child(nav, v, forward):
+    """First child of ``v`` in the direction of travel (the last child backward)."""
+    nav.steps += 1
+    t = nav.g.table
+    pos, s, _ = v
+    b = t.arg0[s]
+    if forward:
+        return (pos, b, v)
+    if t.level[s] & 1:  # a power
+        return (pos + t.explen[s] - t.explen[b], b, v)
+    return (pos + t.explen[b], t.arg1[s], v)
+
+
+def up(nav, v, k):
+    """Level-(k+1) node above the level-k node ``v``: its parent, or ``v``
+    itself when the edge is subdivided (the parent symbol was created above
+    round k+1)."""
+    nav.steps += 1
+    par = v[2]
+    if par is not None and nav.g.table.level[par[1]] == k + 1:
+        return par
+    return v
+
+
+def climb(nav, v, forward):
+    """Highest cursor whose fragment starts right after ``v``'s (forward) or
+    ends right before it (backward); None at the end of the text.  The
+    fused form: ``step`` at the root's level, which never descends."""
+    return step(nav, v, nav.g.table.level[nav.g.start], forward)
+
 
 def ref_climb(nav, v, forward):
     """Highest cursor whose fragment starts right after ``v``'s (forward) or
@@ -67,7 +127,7 @@ def ref_step(nav, v, k, forward):
     """Next (previous) character of level string ``k`` after the level-k node ``v``."""
     v = ref_climb(nav, v, forward)
     if v is not None:
-        while nav.t.level[v[1]] > k:
+        while nav.g.table.level[v[1]] > k:
             v = first_child(nav, v, forward)
     return v
 
@@ -99,3 +159,32 @@ def ref_pseq(nav, x_start, x_end):
             return left, right
         lo, hi = lo_next, hi_next
     raise AssertionError("reference pseq exceeded the round count")
+
+
+def ref_lce(nav, i, i2, forward):
+    """``lce`` (forward) or ``rev_lce`` (backward) of positions ``i`` and
+    ``i2`` in range, walked by single moves."""
+    end = nav.g.text_len if forward else 0
+    if i == end or i2 == end:
+        return 0
+    ln = nav.g.table.explen
+    v, v2 = highest(nav, i, forward), highest(nav, i2, forward)
+    total = 0
+    while v is not None and v2 is not None:
+        if v[1] == v2[1]:
+            d = min(ahead(nav, v, forward), ahead(nav, v2, forward))
+            if d >= 1:
+                total += d * ln[v[1]]
+                v, v2 = jump(nav, v, d, forward), jump(nav, v2, d, forward)
+            else:
+                total += ln[v[1]]
+                v, v2 = ref_climb(nav, v, forward), ref_climb(nav, v2, forward)
+        else:
+            l1, l2 = ln[v[1]], ln[v2[1]]
+            if l1 == 1 and l2 == 1:
+                break
+            if l1 >= l2:
+                v = first_child(nav, v, forward)
+            if l2 >= l1:
+                v2 = first_child(nav, v2, forward)
+    return total

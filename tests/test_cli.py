@@ -114,7 +114,7 @@ def test_query_error_exit_codes(tmp_path, capsys):
     # words that are not one query form -> the batch's error line, on stderr,
     # 2; a word that argparse would take for an option included
     for words in ("lce 0", "lce 0 x", "foo 1 2", "lce 0 1 2", "lce 0 -x", "lce -x 0",
-                  "lce 0 --foo"):
+                  "lce 0 --foo", "-x lce 0", "-x lce --foo 0"):
         assert main(["query", "--index", str(path), *words.split()]) == 2
         out = capsys.readouterr()
         assert out.err == f"error: bad query line '{words}'\n" and out.out == ""

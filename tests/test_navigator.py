@@ -7,9 +7,10 @@ from rlslp.builder import level_string
 from rlslp.cli import load_index, save_index
 from rlslp.errors import OutOfRangeError
 from rlslp.grammar import PAIR, POWER, TERMINAL
-from rlslp.navigator import ahead, climb, first_child, highest, jump, leaf, step, up
+from rlslp.navigator import highest, leaf, step
 
-from helpers import random_ipm_pair, ref_climb, ref_pseq, ref_step, text_corpus
+from helpers import (ahead, climb, first_child, jump, random_ipm_pair, ref_climb, ref_lce,
+                     ref_pseq, ref_step, text_corpus, up)
 
 
 def _children(nav, v):
@@ -223,9 +224,10 @@ def test_climb_reaches_next_fragment():
             assert prv[0] + ln[prv[1]] == j and prv == highest(nav, j, False)
 
 
-def _built_and_loaded(tmp_path, count, max_len, seed):
+def _built_and_loaded(tmp_path, count, max_len, seed, extra=()):
     """Small built grammars, each followed by the same grammar saved and loaded."""
-    for i, (text, build_seed) in enumerate(text_corpus(count, max_len, seed=seed)):
+    corpus = [*text_corpus(count, max_len, seed=seed), *extra]
+    for i, (text, build_seed) in enumerate(corpus):
         g = build(text, build_seed)
         yield g
         save_index(g, tmp_path / f"{i}.idx")
@@ -253,6 +255,28 @@ def test_fused_moves_match_single_moves(tmp_path):
                             == _charged(nav, ref_climb, v, forward)), (v, forward)
                     calls += 1
     assert calls > 10_000
+
+
+def test_lce_walk_matches_single_moves(tmp_path):
+    # lce and rev_lce, with their moves inline, give the reference's answer
+    # and charge its steps, call by call: every (i, i2) in [0, n]^2
+    fib = ["a", "ab"]
+    while len(fib[-1]) < 40:
+        fib.append(fib[-1] + fib[-2])
+    structured = [(fib[-1][:40], 5), ("a" * 37, 6), (("abaab" * 9)[:43], 7),
+                  ("abcabcabcab" * 4, 8)]
+    calls = 0
+    for g in _built_and_loaded(tmp_path, 8, 40, 59, structured):
+        nav = Navigator(g)
+        n = g.text_len
+        for i in range(n + 1):
+            for i2 in range(n + 1):
+                for query, forward in ((lce, True), (rev_lce, False)):
+                    got = _charged(nav, lambda nav: query(g, i, i2, nav))
+                    want = _charged(nav, ref_lce, i, i2, forward)
+                    assert got == want, (forward, i, i2)
+                    calls += 1
+    assert calls > 20_000
 
 
 def test_pseq_pops_match_single_moves(tmp_path):
