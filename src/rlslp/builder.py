@@ -3,10 +3,11 @@
 Builds an r-round grammar over a text by alternating two shrink passes,
 each taking a level string one level up (round = level + 1): odd rounds
 collapse maximal runs of equal adjacent symbols into power productions,
-even rounds draw a random ``{sym: LEFT or RIGHT}`` classification of the
-live symbols and merge every left symbol immediately followed by a right
-symbol into a pair production.  Rounds repeat until the level string has
-length one; a round that changes nothing still counts.
+even rounds draw a random partition of the live symbols, the set of its
+left symbols (every other symbol is right), and merge every left symbol
+immediately followed by a right symbol into a pair production.  Rounds
+repeat until the level string has length one; a round that changes nothing
+still counts.
 
 The coin stream is a counter-based mix of (seed, round, first-occurrence
 rank of the symbol), so the construction is bit-reproducible for a fixed
@@ -18,11 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadLevelError, EmptyTextError, UnclassifiedSymbolError
+from .errors import BadLevelError, EmptyTextError
 from .grammar import Grammar, SymbolTable
-
-LEFT = "L"
-RIGHT = "R"
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,20 +51,14 @@ class LevelString:
     symbols: list[int]
 
 
-def draw_partition(s: LevelString, seed: int) -> dict[int, str]:
-    """Classify each distinct symbol of ``s`` as LEFT or RIGHT with a fair coin.
+def draw_partition(s: LevelString, seed: int) -> set[int]:
+    """The left symbols of ``s``, each distinct symbol chosen by a fair coin.
 
     Symbols are ranked by first occurrence, and each gets an independent
     deterministic coin keyed by (seed, ``s.level + 1``, rank).
     """
     k = s.level + 1
-    classes: dict[int, str] = {}
-    rank = 0
-    for sym in s.symbols:
-        if sym not in classes:
-            classes[sym] = LEFT if _coin(seed, k, rank) else RIGHT
-            rank += 1
-    return classes
+    return {sym for rank, sym in enumerate(dict.fromkeys(s.symbols)) if _coin(seed, k, rank)}
 
 
 def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
@@ -90,11 +82,12 @@ def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
     return LevelString(k, out)
 
 
-def shrink_pc(s: LevelString, classes: dict[int, str], table: SymbolTable) -> LevelString:
-    """Merge every left symbol followed by a right symbol into a pair, one level up.
+def shrink_pc(s: LevelString, left: set[int], table: SymbolTable) -> LevelString:
+    """Merge every symbol in ``left`` followed by one outside it into a pair,
+    one level up.
 
-    Left/right disjointness means pair blocks never chain, so the local
-    boundary rule and the left-to-right greedy scan agree.
+    A pair's right symbol is not left, so pair blocks never chain, and the
+    local boundary rule and the left-to-right greedy scan agree.
     """
     k = s.level + 1
     if k % 2 == 1:
@@ -103,18 +96,14 @@ def shrink_pc(s: LevelString, classes: dict[int, str], table: SymbolTable) -> Le
     out: list[int] = []
     i = 0
     n = len(syms)
-    try:
-        while i < n:
-            a = syms[i]
-            ca = classes[a]
-            if i + 1 < n and ca == LEFT and classes[syms[i + 1]] == RIGHT:
-                out.append(table.intern_pair(a, syms[i + 1], k))
-                i += 2
-            else:
-                out.append(a)
-                i += 1
-    except KeyError as exc:
-        raise UnclassifiedSymbolError(f"symbol {exc} missing from partition") from None
+    while i < n:
+        a = syms[i]
+        if a in left and i + 1 < n and syms[i + 1] not in left:
+            out.append(table.intern_pair(a, syms[i + 1], k))
+            i += 2
+        else:
+            out.append(a)
+            i += 1
     return LevelString(k, out)
 
 
@@ -155,8 +144,8 @@ def level_string(g: Grammar, k: int) -> LevelString:
     return LevelString(k, g.table.below(g.start, k))
 
 
-def partition_for_level(g: Grammar, k: int) -> dict[int, str]:
-    """Replay the partition the builder drew for even round ``k``."""
+def partition_for_level(g: Grammar, k: int) -> set[int]:
+    """Replay the left symbols the builder drew for even round ``k``."""
     if not (2 <= k <= g.rounds and k % 2 == 0):
         raise BadLevelError(f"no partition at level {k}")
     return draw_partition(level_string(g, k - 1), g.seed)

@@ -19,13 +19,14 @@ query fails an internal consistency check (a bug; the message names the
 check).
 
 ``query`` takes one query as words, ``lce i i2``, ``revlce i i2`` or ``ipm x
-x2 y y2`` (``_ARITY``), and ``query --batch`` loads the index once and reads
-one such query per stdin line; both go through one parser, ``_answer``.  An
-answer goes to stdout.  A one-shot error goes to stderr: ``error: bad query
-line '...'`` (2, the words are not one of the three forms), ``error: ...``
-(3, a query error) or ``internal error: ...`` (4).  In a batch the same line
-goes to stdout instead, the stream goes on, and the exit code is the worst
-seen.
+x2 y y2`` (``_ARITY``): the words are what argparse leaves of the command
+line, in order, so a word like ``-x`` keeps its place.  ``query --batch``
+loads the index once and reads one such query per stdin line; both go
+through one parser, ``_answer``.  An answer goes to stdout.  A one-shot
+error goes to stderr: ``error: bad query line '...'`` (2, the words are not
+one of the three forms), ``error: ...`` (3, a query error) or ``internal
+error: ...`` (4).  In a batch the same line goes to stdout instead, the
+stream goes on, and the exit code is the worst seen.
 """
 
 from __future__ import annotations
@@ -428,12 +429,12 @@ def _parser() -> argparse.ArgumentParser:
                    help="treat input as UTF-8 instead of raw bytes")
     b.set_defaults(func=_cmd_build)
 
-    qp = sub.add_parser("query", help="answer one query, or one per stdin line, against an index")
+    qp = sub.add_parser("query", help="answer one query, or one per stdin line, against an index",
+                        usage="%(prog)s [-h] --index INDEX [--batch] "
+                              "[lce i i2 | revlce i i2 | ipm x x2 y y2]")
     qp.add_argument("--index", required=True)
     qp.add_argument("--batch", action="store_true",
                     help="read queries from stdin, one per line")
-    qp.add_argument("query", nargs="*",
-                    help="one query: lce i i2 | revlce i i2 | ipm x x2 y y2")
     qp.set_defaults(func=_cmd_query)
 
     st = sub.add_parser("stats", help="print index statistics")
@@ -475,14 +476,10 @@ class _Stdout:
 def main(argv: list[str] | None = None) -> int:
     ap = _parser()
     args, extra = ap.parse_known_args(argv)
-    if extra:  # argparse takes a query word like ``-x`` for an unknown option
-        if args.cmd != "query":
-            ap.error(f"unrecognized arguments: {' '.join(extra)}")
-        # parse again with those words marked as plain ones, so each keeps its place
-        odd = {w for w in extra if w.startswith("-")}
-        words = sys.argv[1:] if argv is None else argv
-        args, extra = ap.parse_known_args(["\0" + w if w in odd else w for w in words])
-        args.query = [w.lstrip("\0") for w in args.query + extra]
+    if args.cmd == "query":  # the query words are what argparse leaves, in order
+        args.query = [w for w in extra if w != "--"]
+    elif extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
     with redirect_stdout(_Stdout(sys.stdout)):
         try:
             code = args.func(args)

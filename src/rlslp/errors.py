@@ -25,10 +25,6 @@ class EmptyTextError(RlslpError):
     """The builder requires a non-empty input text."""
 
 
-class UnclassifiedSymbolError(RlslpError):
-    """Pair compression met a symbol missing from the partition."""
-
-
 class OutOfRangeError(RlslpError):
     """Position or index outside the valid range."""
 

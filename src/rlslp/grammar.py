@@ -135,9 +135,9 @@ class SymbolTable:
         ex.append(m * ex[b])
         return sid
 
-    def intern_terminal(self, ch) -> int:
-        """Intern a terminal; ``ch`` is a codepoint or a 1-character string."""
-        cp = ord(ch) if isinstance(ch, str) else int(ch)
+    def intern_terminal(self, ch: str) -> int:
+        """Intern the terminal of the 1-character string ``ch``."""
+        cp = ord(ch)
         sid = self._terminals.get(cp)
         if sid is None:
             sid = self._terminals[cp] = self.add_terminal(cp)

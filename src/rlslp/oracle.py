@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .builder import LEFT, RIGHT, level_string, partition_for_level
+from .builder import level_string, partition_for_level
 from .errors import InternalInvariantError, OutOfRangeError, UnknownSymbolError
 from .grammar import PAIR, POWER, Grammar
 
@@ -87,10 +87,10 @@ class NaivePopped:
     proxy_level: int
 
 
-def _blocks(seq: list[int], k: int, classes: dict[int, str] | None) -> list[tuple[int, int]]:
+def _blocks(seq: list[int], k: int, left: set[int] | None) -> list[tuple[int, int]]:
     """Block decomposition (index ranges) of a standalone symbol string with
-    respect to shrink round k: equal-adjacent runs on odd rounds, left/right
-    pairs on even rounds."""
+    respect to shrink round k: equal-adjacent runs on odd rounds, on even
+    rounds pairs of a symbol in ``left`` and one outside it."""
     n = len(seq)
     if n == 0:
         return []
@@ -100,7 +100,7 @@ def _blocks(seq: list[int], k: int, classes: dict[int, str] | None) -> list[tupl
         if k % 2 == 1:
             boundary = seq[i] != seq[i + 1]
         else:
-            boundary = not (classes[seq[i]] == LEFT and classes[seq[i + 1]] == RIGHT)
+            boundary = not (seq[i] in left and seq[i + 1] not in left)
         if boundary:
             out.append((start, i + 1))
             start = i + 1
@@ -121,10 +121,10 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
     while True:
         cur = xbar[k]
         shrink_round = k + 1
-        classes = None
+        left_syms = None
         if shrink_round % 2 == 0 and len(cur) > 1:
-            classes = partition_for_level(g, shrink_round)
-        blocks = _blocks(cur, shrink_round, classes)
+            left_syms = partition_for_level(g, shrink_round)
+        blocks = _blocks(cur, shrink_round, left_syms)
 
         def two_distinct(block: tuple[int, int]) -> bool:
             lo, hi = block
@@ -152,7 +152,7 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
 
         middle = cur[lo:hi]
         nxt: list[int] = []
-        for b_lo, b_hi in _blocks(middle, shrink_round, classes):
+        for b_lo, b_hi in _blocks(middle, shrink_round, left_syms):
             size = b_hi - b_lo
             if size == 1:
                 nxt.append(middle[b_lo])

@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlslp.builder import (
-    LEFT,
-    RIGHT,
     LevelString,
     build,
     draw_partition,
@@ -12,11 +10,7 @@ from rlslp.builder import (
     shrink_pc,
     shrink_rle,
 )
-from rlslp.errors import (
-    BadLevelError,
-    EmptyTextError,
-    UnclassifiedSymbolError,
-)
+from rlslp.errors import BadLevelError, EmptyTextError
 from rlslp.grammar import POWER, TERMINAL, SymbolTable
 
 from helpers import text_corpus
@@ -53,7 +47,7 @@ def test_shrink_rounds_have_their_parity():
     with pytest.raises(BadLevelError):
         shrink_rle(LevelString(1, [a, a, b]), t)
     with pytest.raises(BadLevelError):
-        shrink_pc(LevelString(0, [a, b]), {a: LEFT, b: RIGHT}, t)
+        shrink_pc(LevelString(0, [a, b]), {a}, t)
     assert len(t) == 2
 
 
@@ -61,49 +55,36 @@ def test_shrink_pc_single_pair():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
     s = LevelString(1, [a, b])
-    out = shrink_pc(s, {a: LEFT, b: RIGHT}, t)
+    out = shrink_pc(s, {a}, t)
     assert out.symbols == [t.intern_pair(a, b, 2)]
 
 
 def test_shrink_pc_wrong_orientation_unchanged():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_pc(LevelString(1, [a, b]), {a: RIGHT, b: LEFT}, t)
+    out = shrink_pc(LevelString(1, [a, b]), {b}, t)
     assert out.symbols == [a, b]
 
 
 def test_shrink_pc_greedy_left_to_right():
     t = SymbolTable()
     a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a: LEFT, b: RIGHT}, t)
+    out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a}, t)
     ab = t.intern_pair(a, b, 2)
     assert out.symbols == [ab, ab, a]
 
 
-def test_shrink_pc_unclassified_symbol():
+def test_draw_partition_pinned_and_deterministic():
     t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    with pytest.raises(UnclassifiedSymbolError):
-        shrink_pc(LevelString(1, [a, b]), {a: LEFT}, t)
+    a, b, c = _terminals(t, "abc")
+    s = LevelString(1, [a, b, c, a, b, c])
+    assert draw_partition(s, 42) == draw_partition(s, 42) == {a, c}
 
 
-def test_draw_partition_total_and_deterministic():
-    t = SymbolTable()
-    syms = _terminals(t, "abcabc")
-    s = LevelString(1, syms)
-    p1 = draw_partition(s, 42)
-    p2 = draw_partition(s, 42)
-    assert p1 == p2
-    assert set(p1) == set(syms)
-    assert len(p1) == 3
-    assert all(v in (LEFT, RIGHT) for v in p1.values())
-
-
-def test_draw_partition_single_symbol_total():
+def test_draw_partition_single_symbol():
     t = SymbolTable()
     a = t.intern_terminal("a")
-    p = draw_partition(LevelString(1, [a, a, a]), 7)
-    assert set(p) == {a}
+    assert draw_partition(LevelString(1, [a, a, a]), 7) == {a}
 
 
 def test_build_single_char():

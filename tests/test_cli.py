@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import os
 import random
@@ -45,6 +46,40 @@ def test_build_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _lcg_text(sigma: int, n: int) -> str:
+    """``n`` letters over the first ``sigma`` letters, from a fixed 32-bit LCG."""
+    x, out = 1, []
+    for _ in range(n):
+        x = (x * 1103515245 + 12345) & 0xFFFFFFFF
+        out.append(chr(ord("a") + (x >> 16) % sigma))
+    return "".join(out)
+
+
+# sha256 of save_index(build(text, seed)): index bytes are fixed for a fixed
+# (text, seed), so a change to the coins, the rounds, the interning order or
+# the format shows here
+@pytest.mark.parametrize("text, seed, digest", [
+    ("a" * 300, 0,
+     "6b313cd7bc8a1789c13545609d21f662c7bf5f5cb1409220c411e72a405b270a"),
+    (_lcg_text(2, 500), 3,
+     "3138b7fe12064f8602d63397b6226c66afc0b42470e385bb1c939c189b39dc81"),
+    (_lcg_text(4, 1000), 0,
+     "b84203416d6affade7e911a79ebb73fc99aef6a9a485129ad9642e974dc85204"),
+    (_lcg_text(26, 700), 3,
+     "962d4bd163d42c4422753f327c5374ce571eba06cdf575f64494d4289d608a29"),
+    (_lcg_text(4, 37) * 30, 0,
+     "d508728ce54472dbcf81914a240c3f1dc150df8c3c9a41df6ed0e1a984b2a5b0"),
+    ("mississippi", 0,
+     "c1d2d41eb0794e0f4eaf8cffa8c7c8e3b9cb2dda4b419d0d6ffea13702ec3770"),
+    ("mississippi", 3,
+     "6970ec2da67564d83a9e418126e684b10b9f4dd9bfc53ecebba21062bc255081"),
+], ids=["sigma1", "sigma2", "sigma4", "sigma26", "tandem", "mississippi-0", "mississippi-3"])
+def test_index_bytes_pinned(tmp_path, text, seed, digest):
+    path = tmp_path / "idx.rlslp"
+    save_index(build(text, seed), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_build_empty_input_exit_2(tmp_path):
     assert main(["build", "--text", "", "--output", str(tmp_path / "x")]) == 2
 
@@ -83,6 +118,10 @@ def test_query_lce_and_revlce(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
     assert main(["query", "--index", str(path), "revlce", "4", "2"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+    # a "--" among the query words is dropped, wherever it stands
+    for words in ("-- lce 0 2", "lce -- 0 2", "lce 0 2 --"):
+        assert main(["query", "--index", str(path), *words.split()]) == 0
+        assert capsys.readouterr().out.strip() == "2"
 
 
 def test_query_ipm_output(tmp_path, capsys):
