@@ -33,13 +33,13 @@ class SymbolTable:
     (codepoint / left child / base), ``arg1`` (right child / exponent, 0 for
     a terminal), ``level`` (the round that made the symbol) and ``explen``.
     A symbol's kind is its level's parity: 0 a terminal, odd a power, even
-    above 0 a pair; ``kind`` derives that list in O(n), for reports and
-    tests, not for query loops.  ``add_*`` check a record (the parity,
-    earlier children, distinct pair children, an exponent of at least 2, a
-    level above the children's, a codepoint in range) and append it;
-    ``intern_*`` also hash-cons through three dicts and are for the builder,
-    so a loaded table leaves the dicts empty.  After filling, the table is
-    read-only by contract.
+    above 0 a pair; ``kind`` derives that list in O(n) for tests and
+    perfbench, and no other module of the package reads it.  ``add_*`` check
+    a record (the parity, earlier children, distinct pair children, an
+    exponent of at least 2, a level above the children's, a codepoint in
+    range) and append it; ``intern_*`` also hash-cons through three dicts
+    and are for the builder, so a loaded table leaves the dicts empty.
+    After filling, the table is read-only by contract.
     """
 
     __slots__ = ("arg0", "arg1", "level", "explen", "_terminals", "_pairs", "_powers")

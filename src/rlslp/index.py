@@ -1,0 +1,190 @@
+"""The index file format: ``save_index`` writes it, ``load_index`` reads it.
+
+An index file is an ASCII header line, ``RLSLP1 version=2 seed=.. rounds=..
+text_len=.. symbols=.. start=..``, then the ``arg0``, ``arg1`` and ``level``
+columns in little-endian binary (``save_index``); a symbol's kind is its
+level's parity.  Version-1 files (one ASCII line per symbol) still load;
+their record errors name the symbol id, the line's first token, except for
+a bad shape, id, tag or level, which name the line.  A build is
+byte-reproducible for a fixed (text, seed).
+"""
+
+from __future__ import annotations
+
+import sys
+from array import array
+
+from .errors import IndexFormatError, RlslpError
+from .grammar import Grammar, SymbolTable
+
+MAGIC = "RLSLP1"
+FORMAT_VERSION = 2
+_HEADER_FIELDS = {"version", "seed", "rounds", "text_len", "symbols", "start"}
+
+
+def _arg_code(text_len: int) -> str:
+    """Array typecode of the ``arg`` columns: int32, or int64 for texts so long
+    that an id, exponent or codepoint may reach 2^31."""
+    return "q" if text_len + 0x110000 >= 1 << 31 else "i"
+
+
+def save_index(g: Grammar, path: str) -> None:
+    """Write ``g`` as a version-2 index: an ASCII header line, then the
+    ``arg0``, ``arg1`` and ``level`` columns in little-endian binary."""
+    t = g.table
+    code = _arg_code(g.text_len)
+    cols = (array(code, t.arg0), array(code, t.arg1), array("H", t.level))
+    if sys.byteorder == "big":
+        for col in cols:
+            col.byteswap()
+    header = (f"{MAGIC} version={FORMAT_VERSION} seed={g.seed} rounds={g.rounds} "
+              f"text_len={g.text_len} symbols={len(t)} start={g.start}\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for col in cols:
+            fh.write(col.tobytes())
+
+
+def parse_header(head: bytes) -> dict:
+    """The fields of an index header line, either version."""
+    try:
+        header = head.decode("ascii").split()
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"index is not ASCII: {exc}") from None
+    if len(header) != 7 or header[0] != MAGIC:
+        raise IndexFormatError("bad header")
+    fields = {}
+    for item in header[1:]:
+        key, _, val = item.partition("=")
+        try:
+            fields[key] = int(val)
+        except ValueError:
+            raise IndexFormatError(f"bad header field {item!r}") from None
+    if set(fields) != _HEADER_FIELDS:
+        raise IndexFormatError("bad header fields")
+    if fields["version"] not in (1, FORMAT_VERSION):
+        raise IndexFormatError(f"unsupported version {fields['version']}")
+    return fields
+
+
+def _read_v1(body: bytes, count: int) -> list[tuple[int, int, int]]:
+    """The ``(arg0, arg1, level)`` records of a version-1 body: one ASCII line
+    per symbol in id order, ``sid T cp``, ``sid P b c level`` or ``sid R b m
+    level``."""
+    try:
+        lines = body.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"index is not ASCII: {exc}") from None
+    if len(lines) != count:
+        raise IndexFormatError("symbol count does not match header")
+    records = []
+    try:
+        for lineno, line in enumerate(lines, 1):
+            sid, tag, *rest = line.split()
+            if int(sid) != lineno - 1:
+                raise IndexFormatError(f"ids must be contiguous, got {sid} on line {lineno}")
+            if tag == "T" and len(rest) == 1:
+                b, c, lv = int(rest[0]), 0, 0
+            elif tag in ("P", "R") and len(rest) == 3:
+                b, c, lv = map(int, rest)
+                if tag == "P" and (lv % 2 or not lv):  # level 0 would read as a terminal
+                    raise IndexFormatError(f"pair on {'odd ' if lv else ''}level {lv} "
+                                           f"on line {lineno}")
+                if tag == "R" and lv % 2 == 0:
+                    raise IndexFormatError(f"power on even level {lv} on line {lineno}")
+            else:
+                raise IndexFormatError(f"bad record on line {lineno}")
+            records.append((b, c, lv))
+    except (ValueError, IndexError):
+        raise IndexFormatError(f"bad record on line {lineno}") from None
+    return records
+
+
+def _read_v2(payload: bytes, count: int, text_len: int):
+    """The ``(arg0, arg1, level)`` records of a version-2 payload: ``count``
+    entries of ``arg0``, then of ``arg1`` (little-endian int32, int64 when
+    ``_arg_code`` says so), then of ``level`` (little-endian uint16)."""
+    code = _arg_code(text_len)
+    arg0, arg1, level = array(code), array(code), array("H")
+    cut = count * arg0.itemsize
+    if count < 0 or len(payload) != 2 * cut + 2 * count:
+        raise IndexFormatError(f"payload of {len(payload)} bytes does not hold "
+                               f"symbols={count} records")
+    arg0.frombytes(payload[:cut])
+    arg1.frombytes(payload[cut:2 * cut])
+    level.frombytes(payload[2 * cut:])
+    if sys.byteorder == "big":
+        for col in (arg0, arg1, level):
+            col.byteswap()
+    return zip(arg0.tolist(), arg1.tolist(), level.tolist())
+
+
+def _table(records, count: int) -> SymbolTable:
+    """The table of ``count`` ``(arg0, arg1, level)`` records in id order, each
+    checked and appended by ``SymbolTable.add_*``; the kind follows from the
+    level (a terminal's ``arg1`` is 0), and a level above 65535, which a
+    version-1 line can state but ``save_index`` cannot write, is rejected.
+    One local dict, dropped on return, rejects a production repeated under
+    a new id."""
+    table = SymbolTable()
+    add_terminal, add_pair, add_power = table.add_terminal, table.add_pair, table.add_power
+    # One int key per production, the level left out; the kinds' ranges are
+    # disjoint once add_* has checked the record: codepoints below 0x110000,
+    # pairs from there up, powers (exponent >= 2) below 0.
+    seen: dict[int, int] = {}
+    try:
+        for sid, (b, c, lv) in enumerate(records):
+            if lv > 0xFFFF:  # what the version-2 level column can hold
+                raise IndexFormatError(f"level {lv} above 65535 at symbol {sid}")
+            if lv & 1:
+                add_power(b, c, lv)
+                key = -1 - (c * count + b)
+            elif lv:
+                add_pair(b, c, lv)
+                key = 0x110000 + b * count + c
+            elif c:
+                raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
+            else:
+                add_terminal(b)
+                key = b
+            if seen.setdefault(key, sid) != sid:
+                raise IndexFormatError(f"duplicate symbol {sid}")
+    except IndexFormatError:
+        raise
+    except RlslpError as exc:
+        raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
+    return table
+
+
+def load_index(path: str) -> Grammar:
+    """Parse an index file of either version, sending its records through
+    one check-and-append loop; explen is recomputed.  The returned table
+    keeps no intern dicts: queries read only the per-symbol arrays."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IndexFormatError(f"cannot read index: {exc}") from None
+    if not data:
+        raise IndexFormatError("empty index file")
+    head, _, body = data.partition(b"\n")
+    fields = parse_header(head)
+    if not 0 <= fields["seed"] < 1 << 64:
+        raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
+    count = fields["symbols"]
+    if fields["version"] == 1:
+        table = _table(_read_v1(body, count), count)
+    else:
+        table = _table(_read_v2(body, count, fields["text_len"]), count)
+
+    start = fields["start"]
+    if not (0 <= start < len(table)):
+        raise IndexFormatError("start symbol out of range")
+    g = Grammar(table=table, start=start, rounds=fields["rounds"],
+                seed=fields["seed"], text_len=fields["text_len"])
+    if table.explen[start] != g.text_len:
+        raise IndexFormatError("text_len does not match the start symbol expansion")
+    if table.level[start] != g.rounds:
+        raise IndexFormatError(f"rounds={g.rounds} does not match the start symbol's level "
+                               f"{table.level[start]}")
+    return g

@@ -14,7 +14,7 @@ from itertools import groupby
 
 from .builder import level_string, partition_for_level
 from .errors import InternalInvariantError, OutOfRangeError, UnknownSymbolError
-from .grammar import PAIR, POWER, Grammar
+from .grammar import Grammar
 
 _ORACLE_CAP = 512
 
@@ -112,8 +112,9 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
     """Simulate the popped-sequence definition on materialized level strings."""
     _check_grammar_fragment(g, x, x2)
     t = g.table
-    # block -> symbol, from the arrays alone: a loaded table has no intern dicts
-    ids = {(k, b, c): sid for sid, (k, b, c) in enumerate(zip(t.kind, t.arg0, t.arg1))}
+    # (level parity, arg0, arg1) -> pair (0) or power (1); a loaded table has no intern dicts
+    ids = {(lv & 1, b, c): sid
+           for sid, (lv, b, c) in enumerate(zip(t.level, t.arg0, t.arg1)) if lv}
     xbar = [level_string(g, 0).symbols[x:x2]]
     lefts: list[list[int]] = []
     rights: list[list[int]] = []
@@ -158,9 +159,9 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
                 nxt.append(middle[b_lo])
                 continue
             if shrink_round % 2 == 1:
-                key = (POWER, middle[b_lo], size)
+                key = (1, middle[b_lo], size)
             elif size == 2:
-                key = (PAIR, middle[b_lo], middle[b_lo + 1])
+                key = (0, middle[b_lo], middle[b_lo + 1])
             else:
                 raise InternalInvariantError(f"pair block of {size} symbols")
             if key not in ids:

@@ -14,9 +14,10 @@ import pytest
 import rlslp
 from rlslp import lce, rev_lce
 from rlslp.builder import build, level_string
-from rlslp.cli import _arg_code, load_index, main, save_index
+from rlslp.cli import load_index, main, save_index
 from rlslp.errors import IndexFormatError, InternalInvariantError
 from rlslp.grammar import Grammar, SymbolTable
+from rlslp.index import _arg_code
 from rlslp.ipm import ipm_query
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels
 
@@ -193,6 +194,12 @@ def test_stats(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "format_version: 1" in out
     assert f"index_bytes_per_char: {v1.stat().st_size / 4:.3f}" in out
+    # the counts by kind, each the parity of levels
+    path = _build_index(tmp_path, "mississippi")
+    capsys.readouterr()
+    assert main(["stats", "--index", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:6] == [
+        "rounds: 18", "symbols: 12", "text_len: 11", "terminals: 4", "pairs: 5", "powers: 3"]
 
 
 def test_stats_bad_file(tmp_path, capsys):
@@ -425,7 +432,7 @@ def test_wide_columns_roundtrip(tmp_path, monkeypatch):
     assert _arg_code((1 << 31) - 0x110000 - 1) == "i"
     assert _arg_code((1 << 31) - 0x110000) == "q"
     g = build("abracadabraabracadabra", 0)
-    monkeypatch.setattr("rlslp.cli._arg_code", lambda text_len: "q")
+    monkeypatch.setattr("rlslp.index._arg_code", lambda text_len: "q")
     path = tmp_path / "wide.idx"
     save_index(g, str(path))
     head = path.read_bytes().partition(b"\n")[0]
@@ -598,3 +605,20 @@ def test_selftest_rejects_bad_option(capsys, option):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and option[0] in captured.err
     assert "passed" not in captured.out
+
+
+def test_selftest_failure_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr("rlslp.selftest.lce", lambda g, i, i2: lce(g, i, i2) + 1)
+    assert main(["selftest", "--trials", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("selftest FAILED at trial 0\n") and "lce mismatch" in out
+
+
+def test_serving_path_loads_no_oracle():
+    # -S: an interpreter's site hooks may import random on their own
+    src = Path(rlslp.__file__).parent.parent
+    probe = ("import sys, rlslp.cli; "
+             "print(sorted({'rlslp.oracle', 'rlslp.selftest', 'random'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout == "[]\n"
