@@ -5,12 +5,12 @@ Text is read as raw bytes mapped to codepoints 0-255 unless --utf8 is given.
 Exit codes: 0 success, 1 a selftest trial that disagrees with the oracle
 (``selftest FAILED at trial ..`` on stdout), 2 malformed arguments (a bad
 selftest option included), unreadable/invalid input (an index whose header
-or levels disagree with its symbols, a level above 65535 or a version-2
-payload of the wrong size included), an index that cannot be written or a
-stdout that cannot be written (one ``error: cannot write output`` line on
-stderr, any command), 3 for out-of-range positions or an IPM ratio
-violation, 4 when a query fails an internal consistency check (a bug; the
-message names the check).
+or levels disagree with its symbols, a version other than 2 or a payload
+of the wrong size included), an index that cannot be written or a stdout
+that cannot be written (one ``error: cannot write output`` line on stderr,
+any command), 3 for out-of-range positions or an IPM ratio violation, 4
+when a query fails an internal consistency check (a bug; the message names
+the check).
 
 ``query`` takes one query as words, ``lce i i2``, ``revlce i i2`` or ``ipm x
 x2 y y2`` (``_ARITY``): the words are what argparse leaves of the command
@@ -33,7 +33,7 @@ from contextlib import redirect_stdout
 from .builder import build
 from .errors import IndexFormatError, InternalInvariantError, RlslpError
 from .extension import lce, rev_lce
-from .index import load_index, parse_header, save_index
+from .index import FORMAT_VERSION, load_index, save_index
 from .ipm import ipm_query
 
 
@@ -45,7 +45,7 @@ def _fail(message: object) -> int:
 
 def _read_text(args) -> str:
     if args.text is not None:
-        raw = args.text.encode("utf-8")
+        raw = os.fsencode(args.text)  # the bytes of the argument, as --input reads a file
     else:
         try:
             with open(args.input, "rb") as fh:
@@ -127,15 +127,15 @@ def _cmd_stats(args) -> int:
     print(f"pairs: {len(lv) - terminals - powers}")
     print(f"powers: {powers}")
     print(f"seed: {g.seed}")
-    with open(args.index, "rb") as fh:
-        print(f"format_version: {parse_header(fh.readline())['version']}")
+    print(f"format_version: {FORMAT_VERSION}")  # the one version load_index reads
     print(f"index_bytes_per_char: {os.path.getsize(args.index) / g.text_len:.3f}")
     return 0
 
 
 def _cmd_selftest(args) -> int:
     from .selftest import run  # the oracle loads only for the self-test
-    return run(args)
+    code = run(args)
+    return _fail(code) if isinstance(code, str) else code
 
 
 def _parser() -> argparse.ArgumentParser:

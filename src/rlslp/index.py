@@ -3,10 +3,8 @@
 An index file is an ASCII header line, ``RLSLP1 version=2 seed=.. rounds=..
 text_len=.. symbols=.. start=..``, then the ``arg0``, ``arg1`` and ``level``
 columns in little-endian binary (``save_index``); a symbol's kind is its
-level's parity.  Version-1 files (one ASCII line per symbol) still load;
-their record errors name the symbol id, the line's first token, except for
-a bad shape, id, tag or level, which name the line.  A build is
-byte-reproducible for a fixed (text, seed).
+level's parity.  ``load_index`` reads this one format and rejects any other
+version.  A build is byte-reproducible for a fixed (text, seed).
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ def save_index(g: Grammar, path: str) -> None:
             fh.write(col.tobytes())
 
 
-def parse_header(head: bytes) -> dict:
-    """The fields of an index header line, either version."""
+def _parse_header(head: bytes) -> dict:
+    """The fields of an index header line."""
     try:
         header = head.decode("ascii").split()
     except UnicodeDecodeError as exc:
@@ -62,46 +60,13 @@ def parse_header(head: bytes) -> dict:
             raise IndexFormatError(f"bad header field {item!r}") from None
     if set(fields) != _HEADER_FIELDS:
         raise IndexFormatError("bad header fields")
-    if fields["version"] not in (1, FORMAT_VERSION):
+    if fields["version"] != FORMAT_VERSION:
         raise IndexFormatError(f"unsupported version {fields['version']}")
     return fields
 
 
-def _read_v1(body: bytes, count: int) -> list[tuple[int, int, int]]:
-    """The ``(arg0, arg1, level)`` records of a version-1 body: one ASCII line
-    per symbol in id order, ``sid T cp``, ``sid P b c level`` or ``sid R b m
-    level``."""
-    try:
-        lines = body.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"index is not ASCII: {exc}") from None
-    if len(lines) != count:
-        raise IndexFormatError("symbol count does not match header")
-    records = []
-    try:
-        for lineno, line in enumerate(lines, 1):
-            sid, tag, *rest = line.split()
-            if int(sid) != lineno - 1:
-                raise IndexFormatError(f"ids must be contiguous, got {sid} on line {lineno}")
-            if tag == "T" and len(rest) == 1:
-                b, c, lv = int(rest[0]), 0, 0
-            elif tag in ("P", "R") and len(rest) == 3:
-                b, c, lv = map(int, rest)
-                if tag == "P" and (lv % 2 or not lv):  # level 0 would read as a terminal
-                    raise IndexFormatError(f"pair on {'odd ' if lv else ''}level {lv} "
-                                           f"on line {lineno}")
-                if tag == "R" and lv % 2 == 0:
-                    raise IndexFormatError(f"power on even level {lv} on line {lineno}")
-            else:
-                raise IndexFormatError(f"bad record on line {lineno}")
-            records.append((b, c, lv))
-    except (ValueError, IndexError):
-        raise IndexFormatError(f"bad record on line {lineno}") from None
-    return records
-
-
-def _read_v2(payload: bytes, count: int, text_len: int):
-    """The ``(arg0, arg1, level)`` records of a version-2 payload: ``count``
+def _read_columns(payload: bytes, count: int, text_len: int):
+    """The ``(arg0, arg1, level)`` records of an index payload: ``count``
     entries of ``arg0``, then of ``arg1`` (little-endian int32, int64 when
     ``_arg_code`` says so), then of ``level`` (little-endian uint16)."""
     code = _arg_code(text_len)
@@ -122,10 +87,8 @@ def _read_v2(payload: bytes, count: int, text_len: int):
 def _table(records, count: int) -> SymbolTable:
     """The table of ``count`` ``(arg0, arg1, level)`` records in id order, each
     checked and appended by ``SymbolTable.add_*``; the kind follows from the
-    level (a terminal's ``arg1`` is 0), and a level above 65535, which a
-    version-1 line can state but ``save_index`` cannot write, is rejected.
-    One local dict, dropped on return, rejects a production repeated under
-    a new id."""
+    level (a terminal's ``arg1`` is 0).  One local dict, dropped on return,
+    rejects a production repeated under a new id."""
     table = SymbolTable()
     add_terminal, add_pair, add_power = table.add_terminal, table.add_pair, table.add_power
     # One int key per production, the level left out; the kinds' ranges are
@@ -134,8 +97,6 @@ def _table(records, count: int) -> SymbolTable:
     seen: dict[int, int] = {}
     try:
         for sid, (b, c, lv) in enumerate(records):
-            if lv > 0xFFFF:  # what the version-2 level column can hold
-                raise IndexFormatError(f"level {lv} above 65535 at symbol {sid}")
             if lv & 1:
                 add_power(b, c, lv)
                 key = -1 - (c * count + b)
@@ -157,9 +118,9 @@ def _table(records, count: int) -> SymbolTable:
 
 
 def load_index(path: str) -> Grammar:
-    """Parse an index file of either version, sending its records through
-    one check-and-append loop; explen is recomputed.  The returned table
-    keeps no intern dicts: queries read only the per-symbol arrays."""
+    """Parse an index file, sending its records through one check-and-append
+    loop; explen is recomputed.  The returned table keeps no intern dicts:
+    queries read only the per-symbol arrays."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -168,14 +129,11 @@ def load_index(path: str) -> Grammar:
     if not data:
         raise IndexFormatError("empty index file")
     head, _, body = data.partition(b"\n")
-    fields = parse_header(head)
+    fields = _parse_header(head)
     if not 0 <= fields["seed"] < 1 << 64:
         raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
     count = fields["symbols"]
-    if fields["version"] == 1:
-        table = _table(_read_v1(body, count), count)
-    else:
-        table = _table(_read_v2(body, count, fields["text_len"]), count)
+    table = _table(_read_columns(body, count, fields["text_len"]), count)
 
     start = fields["start"]
     if not (0 <= start < len(table)):

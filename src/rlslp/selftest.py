@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 
 from .builder import build
-from .cli import _fail
 from .extension import lce, rev_lce
 from .ipm import ipm_query, proxy_pattern, rle_match
 from .oracle import (_ORACLE_CAP, naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce,
@@ -87,18 +86,21 @@ def _selftest_case(rng: random.Random, max_len: int, sigma: int, case_seed: int)
     return None
 
 
-def run(args) -> int:
+def run(args) -> int | str:
+    """Run ``args.trials`` trials: the exit code (0 all passed, 1 a trial
+    failed, reported on stdout), or the message of a bad option, which the
+    command line prints as an ``error:`` line with exit code 2."""
     try:
         sigmas = [int(s) for s in args.alphabet.split(",") if s]
     except ValueError:
         sigmas = []
     top = 0x110000 - ord("a")  # texts are drawn from chr(ord("a") + i), i < size
     if not sigmas or not all(1 <= s <= top for s in sigmas):
-        return _fail(f"--alphabet {args.alphabet!r} needs sizes in [1, {top}]")
+        return f"--alphabet {args.alphabet!r} needs sizes in [1, {top}]"
     if args.trials < 0:
-        return _fail(f"--trials {args.trials} is negative")
+        return f"--trials {args.trials} is negative"
     if not 1 <= args.max_len <= _ORACLE_CAP:
-        return _fail(f"--max-len {args.max_len} outside [1, {_ORACLE_CAP}]")
+        return f"--max-len {args.max_len} outside [1, {_ORACLE_CAP}]"
     rng = random.Random(args.seed)
     for trial in range(args.trials):
         sigma = sigmas[trial % len(sigmas)]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from rlslp.grammar import PAIR, TERMINAL
 from rlslp.navigator import highest, leaf, step
 
 ALPHABETS = (1, 2, 4, 26)
@@ -30,22 +29,6 @@ def random_ipm_pair(rng: random.Random, n: int) -> tuple[int, int, int, int]:
     yl = rng.randint(xl, min(2 * xl - 1, n))
     y = rng.randint(0, n - yl)
     return x, x + xl, y, y + yl
-
-
-def write_v1_index(g, path) -> None:
-    """Write ``g`` in index format version 1, which the loader still reads:
-    an ASCII header line, then one line per symbol in id order."""
-    t = g.table
-    lines = [f"RLSLP1 version=1 seed={g.seed} rounds={g.rounds} "
-             f"text_len={g.text_len} symbols={len(t)} start={g.start}"]
-    for sid, k in enumerate(t.kind):
-        if k == TERMINAL:
-            lines.append(f"{sid} T {t.arg0[sid]}")
-        else:
-            tag = "P" if k == PAIR else "R"
-            lines.append(f"{sid} {tag} {t.arg0[sid]} {t.arg1[sid]} {t.level[sid]}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # Reference moves.  The single moves ``ahead``, ``jump``, ``first_child``,

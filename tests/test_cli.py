@@ -21,7 +21,7 @@ from rlslp.index import _arg_code
 from rlslp.ipm import ipm_query
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels
 
-from helpers import ALPHABETS, random_text, write_v1_index
+from helpers import ALPHABETS, random_text
 
 
 def _build_index(tmp_path, text, seed=0):
@@ -110,6 +110,21 @@ def test_build_from_file_roundtrips_bytes(tmp_path):
     assert g.expand(g.start).encode("latin-1") == data
 
 
+def test_build_text_takes_the_argument_bytes(tmp_path, capsys):
+    # argv decodes the byte 0xff, not UTF-8, to the surrogate U+DCFF
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"ab\xffc")
+    for source in (["--input", str(src)], ["--text", "ab\udcffc"]):
+        out = tmp_path / f"{source[0][2:]}.idx"
+        assert main(["build", *source, "--output", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["build", *source, "--utf8", "--output", str(tmp_path / "utf8.idx")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: input is not valid UTF-8")
+    assert (tmp_path / "text.idx").read_bytes() == (tmp_path / "input.idx").read_bytes()
+    assert load_index(str(tmp_path / "text.idx")).text_len == 4
+
+
 def test_query_lce_and_revlce(tmp_path, capsys):
     path = _build_index(tmp_path, "abab")
     capsys.readouterr()
@@ -188,18 +203,13 @@ def test_stats(tmp_path, capsys):
     assert "rounds: 0" in out and "symbols: 1" in out and "terminals: 1" in out
     assert "format_version: 2" in out
     assert f"index_bytes_per_char: {path.stat().st_size:.3f}" in out
-    v1 = tmp_path / "v1.idx"
-    write_v1_index(build("abab", 0), v1)
-    assert main(["stats", "--index", str(v1)]) == 0
-    out = capsys.readouterr().out
-    assert "format_version: 1" in out
-    assert f"index_bytes_per_char: {v1.stat().st_size / 4:.3f}" in out
     # the counts by kind, each the parity of levels
     path = _build_index(tmp_path, "mississippi")
     capsys.readouterr()
     assert main(["stats", "--index", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[:6] == [
-        "rounds: 18", "symbols: 12", "text_len: 11", "terminals: 4", "pairs: 5", "powers: 3"]
+    assert capsys.readouterr().out.splitlines() == [
+        "rounds: 18", "symbols: 12", "text_len: 11", "terminals: 4", "pairs: 5", "powers: 3",
+        "seed: 0", "format_version: 2", "index_bytes_per_char: 16.909"]
 
 
 def test_stats_bad_file(tmp_path, capsys):
@@ -208,29 +218,6 @@ def test_stats_bad_file(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--index", str(bad)])
     assert exc.value.code == 2
-
-
-def test_load_rejects_corruption(tmp_path):
-    path = tmp_path / "v1.idx"
-    write_v1_index(build("abcabc", 0), path)
-    lines = path.read_text().splitlines()
-    # duplicate id
-    broken = "\n".join([lines[0]] + [lines[1]] + lines[1:]) + "\n"
-    bad = tmp_path / "c.idx"
-    bad.write_text(broken)
-    with pytest.raises(IndexFormatError):
-        load_index(str(bad))
-
-
-def _edited_index(tmp_path, old, new):
-    """The abracadabraabracadabra index (seed 0), written in version 1, with
-    one edit made."""
-    path = tmp_path / "v1.idx"
-    write_v1_index(build("abracadabraabracadabra", 0), path)
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new, 1))
-    return path
 
 
 def _assert_rejected(path, match, capsys):
@@ -242,74 +229,6 @@ def _assert_rejected(path, match, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-
-
-def test_load_rejects_rounds_other_than_start_level(tmp_path, capsys):
-    path = _edited_index(tmp_path, " rounds=34 ", " rounds=1 ")
-    _assert_rejected(path, "rounds=1 does not match", capsys)
-
-
-def test_load_rejects_pair_on_odd_level(tmp_path, capsys):
-    path = _edited_index(tmp_path, "\n6 P 2 0 2\n", "\n6 P 2 0 3\n")
-    _assert_rejected(path, "pair on odd level 3 on line 7", capsys)
-
-
-def test_load_rejects_power_on_even_level(tmp_path, capsys):
-    path = _edited_index(tmp_path, "\n5 R 0 2 1\n", "\n5 R 0 2 2\n")
-    _assert_rejected(path, "power on even level 2 on line 6", capsys)
-
-
-def test_load_rejects_seed_out_of_range(tmp_path, capsys):
-    for seed in (-1, 1 << 64):
-        path = _edited_index(tmp_path, " seed=0 ", f" seed={seed} ")
-        _assert_rejected(path, "outside", capsys)
-
-
-@pytest.mark.parametrize("old, new, match", [
-    ("\n6 P 2 0 2\n", "\n6 P 2 9 2\n", "invalid symbol 6: symbol id 9 not in table"),
-    ("\n6 P 2 0 2\n", "\n6 P -1 0 2\n", "invalid symbol 6: symbol id -1 not in table"),
-    ("\n5 R 0 2 1\n", "\n5 R 7 2 1\n", "invalid symbol 5: symbol id 7 not in table"),
-    ("\n0 T 97\n", "\n0 T -5\n", "invalid symbol 0: codepoint -5 outside"),
-    ("\n6 P 2 0 2\n", "\n6 P 2 0 0\n", "pair on level 0 on line 7"),
-], ids=["pair-forward-reference", "pair-negative-child", "power-forward-reference",
-        "negative-codepoint", "pair-on-level-0"])
-def test_load_rejects_bad_record(tmp_path, capsys, old, new, match):
-    _assert_rejected(_edited_index(tmp_path, old, new), match, capsys)
-
-
-@pytest.mark.parametrize("record", ["20 T 97", "20 P 2 0 2", "20 R 0 2 1", "20 P 2 0 4"],
-                         ids=["terminal", "pair", "power", "pair-at-another-level"])
-def test_load_rejects_repeated_production(tmp_path, capsys, record):
-    path = _edited_index(tmp_path, " symbols=20 ", " symbols=21 ")
-    path.write_text(path.read_text() + record + "\n")
-    _assert_rejected(path, "duplicate symbol 20", capsys)
-
-
-def _ab_index_at_level(tmp_path, level):
-    """The "ab" index (seed 0), written in version 1, with its last record,
-    the start pair, and the header's ``rounds`` moved to ``level``."""
-    g = build("ab", 0)
-    path = tmp_path / "v1.idx"
-    write_v1_index(g, path)
-    head, *records = path.read_text().splitlines()
-    sid, tag, b, c, _ = records[-1].split()
-    assert tag == "P" and int(sid) == g.start
-    records[-1] = f"{sid} P {b} {c} {level}"
-    head = head.replace(f" rounds={g.rounds} ", f" rounds={level} ")
-    path.write_text("\n".join([head, *records]) + "\n")
-    return path
-
-
-def test_load_rejects_level_version_2_cannot_hold(tmp_path, capsys):
-    _assert_rejected(_ab_index_at_level(tmp_path, 70000),
-                     "level 70000 above 65535 at symbol 2", capsys)
-    # the highest level a pair can have still loads, saves and loads again
-    g = load_index(str(_ab_index_at_level(tmp_path, 65534)))
-    save_index(g, str(tmp_path / "v2.idx"))
-    g2 = load_index(str(tmp_path / "v2.idx"))
-    assert g2.rounds == 65534 and g2.table.level == g.table.level
-    assert main(["query", "--index", str(tmp_path / "v2.idx"), "lce", "0", "1"]) == 0
-    assert capsys.readouterr().out == "0\n"
 
 
 def test_deep_loaded_grammar_expands(tmp_path):
@@ -325,11 +244,11 @@ def test_deep_loaded_grammar_expands(tmp_path):
     assert g.expand(g.start) == "".join(g.expand(s) for s in level_string(g, 0).symbols)
 
 
-def _v2_index(tmp_path, edit):
-    """The abracadabraabracadabra index (seed 0), version 2, with its header
-    fields and its ``arg0``/``arg1``/``level`` columns passed through
-    ``edit(fields, arg0, arg1, level)`` and written back."""
-    path = _build_index(tmp_path, "abracadabraabracadabra")
+def _v2_index(tmp_path, edit, text="abracadabraabracadabra"):
+    """The index of ``text`` (seed 0), version 2, with its header fields and
+    its ``arg0``/``arg1``/``level`` columns passed through ``edit(fields,
+    arg0, arg1, level)`` and written back."""
+    path = _build_index(tmp_path, text)
     head, _, payload = path.read_bytes().partition(b"\n")
     fields = dict(item.split("=") for item in head.decode("ascii").split()[1:])
     n = int(fields["symbols"])
@@ -367,6 +286,7 @@ def _append(record):
     (_set("level", 10, 6), "invalid symbol 10: pair level 6 not above children levels 0, 6"),
     (_set("arg1", 0, 1), "terminal with arg1 1 at symbol 0"),
     (_set("arg0", 0, 0x110000), "invalid symbol 0: codepoint 1114112 outside"),
+    (_set("arg0", 0, -5), "invalid symbol 0: codepoint -5 outside"),
     (_append((97, 0, 0)), "duplicate symbol 20"),
     (_append((2, 0, 2)), "duplicate symbol 20"),
     (_append((0, 2, 1)), "duplicate symbol 20"),
@@ -376,11 +296,49 @@ def _append(record):
     (lambda fields, *cols: fields.update(version="3"), "unsupported version 3"),
 ], ids=["pair-forward-child", "pair-negative-child", "power-forward-base",
         "equal-pair-children", "exponent-1", "level-not-above-child", "terminal-arg1",
-        "codepoint-out-of-range", "repeated-terminal", "repeated-pair", "repeated-power",
-        "repeated-pair-at-another-level", "symbols-plus-one", "symbols-minus-one",
-        "version-3"])
+        "codepoint-out-of-range", "negative-codepoint", "repeated-terminal", "repeated-pair",
+        "repeated-power", "repeated-pair-at-another-level", "symbols-plus-one",
+        "symbols-minus-one", "version-3"])
 def test_load_v2_rejects_bad_record(tmp_path, capsys, edit, match):
     _assert_rejected(_v2_index(tmp_path, edit), match, capsys)
+
+
+def test_load_rejects_rounds_other_than_start_level(tmp_path, capsys):
+    path = _v2_index(tmp_path, lambda fields, *cols: fields.update(rounds="1"))
+    _assert_rejected(path, "rounds=1 does not match", capsys)
+
+
+def test_load_rejects_seed_out_of_range(tmp_path, capsys):
+    for seed in (-1, 1 << 64):
+        path = _v2_index(tmp_path, lambda fields, *cols: fields.update(seed=str(seed)))
+        _assert_rejected(path, "outside", capsys)
+
+
+def test_load_rejects_version_1(tmp_path, capsys):
+    # the retired one-line-per-symbol format of the index of "a"
+    path = tmp_path / "v1.idx"
+    path.write_text("RLSLP1 version=1 seed=0 rounds=0 text_len=1 symbols=1 start=0\n0 T 97\n")
+    _assert_rejected(path, "^unsupported version 1$", capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--index", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unsupported version 1\n" and captured.out == ""
+
+
+def test_highest_pair_level_roundtrips(tmp_path, capsys):
+    # the start pair of "ab" and the header's rounds moved to 65534, the
+    # highest even level the uint16 level column holds
+    def edit(fields, arg0, arg1, level):
+        fields["rounds"] = "65534"
+        level[int(fields["start"])] = 65534
+    g = load_index(str(_v2_index(tmp_path, edit, "ab")))
+    save_index(g, str(tmp_path / "again.idx"))
+    g2 = load_index(str(tmp_path / "again.idx"))
+    assert g2.rounds == 65534 and g2.table.level == g.table.level
+    capsys.readouterr()
+    assert main(["query", "--index", str(tmp_path / "again.idx"), "lce", "0", "1"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 @pytest.mark.parametrize("cut, tail", [(-1, b""), (0, b"\0"), (0, b"\n")],
@@ -398,7 +356,7 @@ def test_load_v2_fuzz_raises_only_index_format_error(tmp_path):
     variants = [data[:cut] for cut in range(len(data))]
     variants += [data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
                  for i in range(len(data)) for mask in (1, 2, 4, 8, 16, 32, 64, 128, 255)]
-    variants.append(data.replace(b" version=2 ", b" version=1 ", 1))  # binary read as text
+    variants.append(data.replace(b" version=2 ", b" version=1 ", 1))  # a retired version
     loaded = 0
     for variant in variants:
         path.write_bytes(variant)  # a new file each time: truncating one can be slow
@@ -411,21 +369,20 @@ def test_load_v2_fuzz_raises_only_index_format_error(tmp_path):
     assert 0 < loaded < len(variants)
 
 
-def test_v1_and_v2_load_identical_tables(tmp_path):
+def test_save_load_roundtrip(tmp_path):
     rng = random.Random(41)
     for trial in range(30):
         text = random_text(rng, 200, ALPHABETS[trial % len(ALPHABETS)])
         g = build(text, trial)
-        v1, v2, again = (tmp_path / f"{trial}.{ext}" for ext in ("v1", "v2", "again"))
-        write_v1_index(g, v1)
-        save_index(g, str(v2))
-        g1, g2 = load_index(str(v1)), load_index(str(v2))
-        for name in ("kind", "arg0", "arg1", "level", "explen"):
-            assert getattr(g1.table, name) == getattr(g2.table, name) == getattr(g.table, name)
-        assert (g1.start, g1.rounds, g1.seed, g1.text_len) == \
-            (g2.start, g2.rounds, g2.seed, g2.text_len) == (g.start, g.rounds, g.seed, g.text_len)
-        save_index(g1, str(again))
-        assert again.read_bytes() == v2.read_bytes()
+        first, again = tmp_path / f"{trial}.idx", tmp_path / f"{trial}.again"
+        save_index(g, str(first))
+        g2 = load_index(str(first))
+        for name in ("arg0", "arg1", "level", "explen"):
+            assert getattr(g2.table, name) == getattr(g.table, name)
+        assert (g2.start, g2.rounds, g2.seed, g2.text_len) == \
+            (g.start, g.rounds, g.seed, g.text_len)
+        save_index(g2, str(again))
+        assert again.read_bytes() == first.read_bytes()
 
 
 def test_wide_columns_roundtrip(tmp_path, monkeypatch):

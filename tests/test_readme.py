@@ -2,8 +2,10 @@
 
 Each ``rlslp ...`` line of the ``## CLI`` block goes through ``main()`` in a
 temporary directory: it must exit 0, and a bare ``# -> N`` comment must be
-its output.  The ``## Library use`` block is executed.  A change to the
-command line or the library that the README does not follow fails here.
+its output.  The ``## Library use`` block is executed, and the example
+header line is the one ``save_index`` writes.  A change to the command
+line, the library or the index format that the README does not follow
+fails here.
 """
 
 import io
@@ -11,7 +13,8 @@ import re
 import shlex
 from pathlib import Path
 
-from rlslp.cli import main
+from rlslp import build
+from rlslp.cli import main, save_index
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -48,3 +51,9 @@ def test_cli_examples(tmp_path, capsys, monkeypatch):
 
 def test_library_example():
     exec(_block("Library use", "python"), {})
+
+
+def test_index_header_example(tmp_path):
+    example = re.search(r"^RLSLP1 .*$", README, re.M).group(0)
+    save_index(build("abracadabraabracadabra", 0), str(tmp_path / "abra.idx"))
+    assert (tmp_path / "abra.idx").read_bytes().split(b"\n", 1)[0].decode("ascii") == example
