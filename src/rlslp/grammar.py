@@ -17,7 +17,9 @@ from .errors import (
     BadExponentError,
     BadLevelError,
     EqualChildrenError,
+    IndexFormatError,
     OutOfRangeError,
+    RlslpError,
     UnknownSymbolError,
 )
 
@@ -38,8 +40,9 @@ class SymbolTable:
     a record (the parity, earlier children, distinct pair children, an
     exponent of at least 2, a level above the children's, a codepoint in
     range) and append it; ``intern_*`` also hash-cons through three dicts
-    and are for the builder, so a loaded table leaves the dicts empty.
-    After filling, the table is read-only by contract.
+    and are for the builder.  ``from_columns`` makes a loaded table from
+    its columns, with the same checks in one pass, and leaves the dicts
+    empty.  After filling, the table is read-only by contract.
     """
 
     __slots__ = ("arg0", "arg1", "level", "explen", "_terminals", "_pairs", "_powers")
@@ -55,6 +58,53 @@ class SymbolTable:
 
     def __len__(self) -> int:
         return len(self.level)
+
+    @classmethod
+    def from_columns(cls, arg0: list[int], arg1: list[int], level: list[int],
+                     text_len: int) -> SymbolTable:
+        """The table whose ``arg0``, ``arg1`` and ``level`` columns are the
+        given lists of one length, kept as they are.  A record's kind is its
+        level's parity and a terminal's ``arg1`` is 0.  One pass over the ids
+        checks each record as ``add_*`` would, computes its explen and bounds
+        it by ``text_len``; then one set rejects a production repeated under
+        a new id.  Raises ``IndexFormatError`` naming the lowest faulty id."""
+        count = len(level)
+        explen = [0] * count
+        # One int key per production, the level left out; the kinds' ranges
+        # are disjoint once the record is checked: codepoints below 0x110000,
+        # pairs from there up, powers (exponent >= 2) below 0.
+        keys = [0] * count
+        for sid, b, c, lv in zip(range(count), arg0, arg1, level):
+            if lv & 1:
+                if not 0 <= b < sid or c < 2 or lv <= level[b]:
+                    break
+                e = c * explen[b]
+                keys[sid] = -1 - (c * count + b)
+            elif lv:
+                if (not (0 <= b < sid and 0 <= c < sid) or b == c
+                        or lv <= level[b] or lv <= level[c]):
+                    break
+                e = explen[b] + explen[c]
+                keys[sid] = 0x110000 + b * count + c
+            elif c or not 0 <= b < 0x110000:
+                break
+            else:
+                e = 1
+                keys[sid] = b
+            # Every symbol of a built grammar occurs in the text's parse, so a
+            # longer one can only be unreachable: reject it before a chain of
+            # powers makes the lengths of the symbols above it huge.
+            if e > text_len:
+                break
+            explen[sid] = e
+        else:  # no record is faulty
+            sid = count
+        if sid < count or len(set(keys)) != count:
+            _reject_duplicate(keys, sid)
+            _reject_record(level, explen, sid, arg0[sid], arg1[sid], text_len)
+        table = cls()
+        table.arg0, table.arg1, table.level, table.explen = arg0, arg1, level, explen
+        return table
 
     @property
     def kind(self) -> list[int]:
@@ -160,6 +210,39 @@ class SymbolTable:
         if sid is None:
             sid = self._powers[(b, m)] = self.add_power(b, m, level)
         return sid
+
+
+def _reject_duplicate(keys: list[int], upto: int) -> None:
+    """Raise ``duplicate symbol <id>`` at the first id below ``upto`` whose
+    key repeats an earlier one, if there is one."""
+    seen = set()
+    for sid in range(upto):
+        if keys[sid] in seen:
+            raise IndexFormatError(f"duplicate symbol {sid}")
+        seen.add(keys[sid])
+
+
+def _reject_record(level: list[int], explen: list[int], sid: int, b: int, c: int,
+                   text_len: int) -> None:
+    """Raise the error of record ``sid``, ``(b, c, level[sid])``, which
+    ``from_columns`` found faulty: ``add_*``'s message, replayed on a table of
+    the symbols before it, or its expansion length above ``text_len``."""
+    lv = level[sid]
+    if not lv and c:
+        raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
+    probe = SymbolTable()
+    probe.level, probe.explen = level[:sid], explen[:sid]
+    try:
+        if lv & 1:
+            probe.add_power(b, c, lv)
+        elif lv:
+            probe.add_pair(b, c, lv)
+        else:
+            probe.add_terminal(b)
+    except RlslpError as exc:
+        raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
+    raise IndexFormatError(f"invalid symbol {sid}: expansion length {probe.explen[sid]} "
+                           f"exceeds text_len {text_len}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ An index file is an ASCII header line, ``RLSLP1 version=2 seed=.. rounds=..
 text_len=.. symbols=.. start=..``, then the ``arg0``, ``arg1`` and ``level``
 columns in little-endian binary (``save_index``); a symbol's kind is its
 level's parity.  ``load_index`` reads this one format and rejects any other
-version.  A build is byte-reproducible for a fixed (text, seed).
+version.  The columns it reads become the loaded table's columns, checked
+in one pass that also bounds every expansion by ``text_len``.  A build is
+byte-reproducible for a fixed (text, seed).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .errors import IndexFormatError, RlslpError
+from .errors import IndexFormatError
 from .grammar import Grammar, SymbolTable
 
 MAGIC = "RLSLP1"
@@ -66,9 +68,10 @@ def _parse_header(head: bytes) -> dict:
 
 
 def _read_columns(payload: bytes, count: int, text_len: int):
-    """The ``(arg0, arg1, level)`` records of an index payload: ``count``
-    entries of ``arg0``, then of ``arg1`` (little-endian int32, int64 when
-    ``_arg_code`` says so), then of ``level`` (little-endian uint16)."""
+    """The ``arg0``, ``arg1`` and ``level`` lists of an index payload:
+    ``count`` entries of ``arg0``, then of ``arg1`` (little-endian int32,
+    int64 when ``_arg_code`` says so), then of ``level`` (little-endian
+    uint16)."""
     code = _arg_code(text_len)
     arg0, arg1, level = array(code), array(code), array("H")
     cut = count * arg0.itemsize
@@ -81,46 +84,14 @@ def _read_columns(payload: bytes, count: int, text_len: int):
     if sys.byteorder == "big":
         for col in (arg0, arg1, level):
             col.byteswap()
-    return zip(arg0.tolist(), arg1.tolist(), level.tolist())
-
-
-def _table(records, count: int) -> SymbolTable:
-    """The table of ``count`` ``(arg0, arg1, level)`` records in id order, each
-    checked and appended by ``SymbolTable.add_*``; the kind follows from the
-    level (a terminal's ``arg1`` is 0).  One local dict, dropped on return,
-    rejects a production repeated under a new id."""
-    table = SymbolTable()
-    add_terminal, add_pair, add_power = table.add_terminal, table.add_pair, table.add_power
-    # One int key per production, the level left out; the kinds' ranges are
-    # disjoint once add_* has checked the record: codepoints below 0x110000,
-    # pairs from there up, powers (exponent >= 2) below 0.
-    seen: dict[int, int] = {}
-    try:
-        for sid, (b, c, lv) in enumerate(records):
-            if lv & 1:
-                add_power(b, c, lv)
-                key = -1 - (c * count + b)
-            elif lv:
-                add_pair(b, c, lv)
-                key = 0x110000 + b * count + c
-            elif c:
-                raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
-            else:
-                add_terminal(b)
-                key = b
-            if seen.setdefault(key, sid) != sid:
-                raise IndexFormatError(f"duplicate symbol {sid}")
-    except IndexFormatError:
-        raise
-    except RlslpError as exc:
-        raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
-    return table
+    return arg0.tolist(), arg1.tolist(), level.tolist()
 
 
 def load_index(path: str) -> Grammar:
-    """Parse an index file, sending its records through one check-and-append
-    loop; explen is recomputed.  The returned table keeps no intern dicts:
-    queries read only the per-symbol arrays."""
+    """Parse an index file.  Its columns become the table's columns, checked
+    and given their explen in one pass (``SymbolTable.from_columns``).  The
+    returned table keeps no intern dicts: queries read only the per-symbol
+    lists."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -132,14 +103,15 @@ def load_index(path: str) -> Grammar:
     fields = _parse_header(head)
     if not 0 <= fields["seed"] < 1 << 64:
         raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
-    count = fields["symbols"]
-    table = _table(_read_columns(body, count, fields["text_len"]), count)
+    text_len = fields["text_len"]
+    table = SymbolTable.from_columns(*_read_columns(body, fields["symbols"], text_len),
+                                     text_len)
 
     start = fields["start"]
     if not (0 <= start < len(table)):
         raise IndexFormatError("start symbol out of range")
     g = Grammar(table=table, start=start, rounds=fields["rounds"],
-                seed=fields["seed"], text_len=fields["text_len"])
+                seed=fields["seed"], text_len=text_len)
     if table.explen[start] != g.text_len:
         raise IndexFormatError("text_len does not match the start symbol expansion")
     if table.level[start] != g.rounds:

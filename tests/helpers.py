@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from rlslp.errors import IndexFormatError, OutOfRangeError, RlslpError
+from rlslp.grammar import SymbolTable
 from rlslp.navigator import highest, leaf, step
 
 ALPHABETS = (1, 2, 4, 26)
@@ -171,3 +173,36 @@ def ref_lce(nav, i, i2, forward):
             if l2 >= l1:
                 v2 = first_child(nav, v2, forward)
     return total
+
+
+def ref_from_columns(arg0, arg1, level, text_len):
+    """``SymbolTable.from_columns`` as a per-record loop: each record is
+    checked and appended by ``SymbolTable.add_*``, its expansion length is
+    then bounded by ``text_len``, and one dict rejects a production repeated
+    under a new id.  The first fault in id order is raised."""
+    count = len(level)
+    table = SymbolTable()
+    seen = {}
+    try:
+        for sid, (b, c, lv) in enumerate(zip(arg0, arg1, level)):
+            if lv & 1:
+                table.add_power(b, c, lv)
+                key = -1 - (c * count + b)
+            elif lv:
+                table.add_pair(b, c, lv)
+                key = 0x110000 + b * count + c
+            elif c:
+                raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
+            else:
+                table.add_terminal(b)
+                key = b
+            if table.explen[sid] > text_len:
+                raise OutOfRangeError(
+                    f"expansion length {table.explen[sid]} exceeds text_len {text_len}")
+            if seen.setdefault(key, sid) != sid:
+                raise IndexFormatError(f"duplicate symbol {sid}")
+    except IndexFormatError:
+        raise
+    except RlslpError as exc:
+        raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
+    return table

@@ -21,7 +21,7 @@ from rlslp.index import _arg_code
 from rlslp.ipm import ipm_query
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels
 
-from helpers import ALPHABETS, random_text
+from helpers import ALPHABETS, random_text, ref_from_columns, text_corpus
 
 
 def _build_index(tmp_path, text, seed=0):
@@ -244,6 +244,15 @@ def test_deep_loaded_grammar_expands(tmp_path):
     assert g.expand(g.start) == "".join(g.expand(s) for s in level_string(g, 0).symbols)
 
 
+def _write_index(path, fields, arg0, arg1, level):
+    """Write header ``fields`` and int32/uint16 columns as an index file."""
+    m = len(level)
+    head = "RLSLP1 " + " ".join(f"{k}={v}" for k, v in fields.items())
+    path.write_bytes(head.encode("ascii") + b"\n" + struct.pack(f"<{m}i", *arg0)
+                     + struct.pack(f"<{m}i", *arg1) + struct.pack(f"<{m}H", *level))
+    return path
+
+
 def _v2_index(tmp_path, edit, text="abracadabraabracadabra"):
     """The index of ``text`` (seed 0), version 2, with its header fields and
     its ``arg0``/``arg1``/``level`` columns passed through ``edit(fields,
@@ -256,11 +265,7 @@ def _v2_index(tmp_path, edit, text="abracadabraabracadabra"):
     arg1 = list(struct.unpack_from(f"<{n}i", payload, 4 * n))
     level = list(struct.unpack_from(f"<{n}H", payload, 8 * n))
     edit(fields, arg0, arg1, level)
-    m = len(level)
-    head = "RLSLP1 " + " ".join(f"{k}={v}" for k, v in fields.items())
-    path.write_bytes(head.encode("ascii") + b"\n" + struct.pack(f"<{m}i", *arg0)
-                     + struct.pack(f"<{m}i", *arg1) + struct.pack(f"<{m}H", *level))
-    return path
+    return _write_index(path, fields, arg0, arg1, level)
 
 
 def _set(column, sid, value):
@@ -274,6 +279,13 @@ def _append(record):
         fields["symbols"] = str(int(fields["symbols"]) + 1)
         for col, val in zip((arg0, arg1, level), record):
             col.append(val)
+    return edit
+
+
+def _together(*edits):
+    def edit(*args):
+        for one in edits:
+            one(*args)
     return edit
 
 
@@ -291,16 +303,117 @@ def _append(record):
     (_append((2, 0, 2)), "duplicate symbol 20"),
     (_append((0, 2, 1)), "duplicate symbol 20"),
     (_append((2, 0, 4)), "duplicate symbol 20"),
+    # symbol 7 repeats symbol 6 and symbol 12 names a later child: the lower id
+    (_together(_set("arg0", 7, 2), _set("arg1", 12, 13)), "^duplicate symbol 7$"),
+    (lambda fields, *cols: fields.update(text_len="21"),
+     "invalid symbol 19: expansion length 22 exceeds text_len 21"),
     (lambda fields, *cols: fields.update(symbols="21"), "payload of 200 bytes"),
     (lambda fields, *cols: fields.update(symbols="19"), "payload of 200 bytes"),
     (lambda fields, *cols: fields.update(version="3"), "unsupported version 3"),
 ], ids=["pair-forward-child", "pair-negative-child", "power-forward-base",
         "equal-pair-children", "exponent-1", "level-not-above-child", "terminal-arg1",
         "codepoint-out-of-range", "negative-codepoint", "repeated-terminal", "repeated-pair",
-        "repeated-power", "repeated-pair-at-another-level", "symbols-plus-one",
+        "repeated-power", "repeated-pair-at-another-level",
+        "repeated-pair-before-forward-child", "text_len-below-expansion", "symbols-plus-one",
         "symbols-minus-one", "version-3"])
 def test_load_v2_rejects_bad_record(tmp_path, capsys, edit, match):
     _assert_rejected(_v2_index(tmp_path, edit), match, capsys)
+
+
+def test_load_rejects_chained_powers(tmp_path, capsys):
+    # a^(2^31-1), raised to 2^31-1 twice more; the bound stops the chain at
+    # its first power, before the expansion lengths grow
+    big = (1 << 31) - 1
+    fields = {"version": 2, "seed": 0, "rounds": 5, "text_len": 5, "symbols": 4, "start": 3}
+    path = _write_index(tmp_path / "chain.idx", fields, [97, 0, 1, 2], [0, big, big, big],
+                        [0, 1, 3, 5])
+    _assert_rejected(path, f"^invalid symbol 1: expansion length {big} exceeds text_len 5$",
+                     capsys)
+
+
+def _load_outcome(path):
+    """The loaded columns and header fields of the index at ``path``, or the
+    message it is rejected with."""
+    try:
+        g = load_index(str(path))
+    except IndexFormatError as exc:
+        return str(exc)
+    t = g.table
+    return t.arg0, t.arg1, t.level, t.explen, g.start, g.rounds, g.seed, g.text_len
+
+
+def _one_fault_edits(fields, arg0, arg1, level):
+    """Edits of one value each: every column entry moved to nearby and extreme
+    values, a record overwritten by an earlier one, every header field moved,
+    and every record appended again, at its level and at another."""
+    edits = []
+    n = len(level)
+    for sid in range(n):
+        for col, vals in (("arg0", arg0), ("arg1", arg1)):
+            for v in sorted({-1, 0, 1, 2, sid - 1, sid, sid + 1, vals[sid] - 1, vals[sid] + 1,
+                             0x110000, (1 << 31) - 1}):
+                edits.append(("col", col, sid, v))
+        for v in sorted({0, 1, 2, level[sid] - 1, level[sid] + 1, level[sid] + 2, 65535}):
+            if 0 <= v <= 65535:
+                edits.append(("col", "level", sid, v))
+        for earlier in range(sid):
+            edits.append(("copy", earlier, sid))
+        edits.append(("append", sid, 0))
+        edits.append(("append", sid, 2))
+    for key, val in fields.items():
+        for v in sorted({val - 1, val + 1, 0, -1}):
+            edits.append(("header", key, v))
+    return edits
+
+
+def _apply(edit, fields, arg0, arg1, level):
+    cols = {"arg0": arg0, "arg1": arg1, "level": level}
+    if edit[0] == "col":
+        cols[edit[1]][edit[2]] = edit[3]
+    elif edit[0] == "copy":
+        for col in cols.values():
+            col[edit[2]] = col[edit[1]]
+    elif edit[0] == "append":
+        sid, lift = edit[1], edit[2]
+        arg0.append(arg0[sid])
+        arg1.append(arg1[sid])
+        level.append(min(level[sid] + lift, 65535))
+        fields["symbols"] += 1
+    else:
+        fields[edit[1]] = edit[2]
+
+
+def test_loaders_agree(tmp_path, monkeypatch):
+    # from_columns against the per-record reference loop, through load_index:
+    # the same message for every rejected file, the same table for the rest
+    rng = random.Random(7)
+    path = tmp_path / "edit.idx"
+    runs = rejected = 0
+    for text, seed in text_corpus(8, 24, seed=3):
+        g = build(text, seed)
+        t = g.table
+        fields = {"version": 2, "seed": g.seed, "rounds": g.rounds, "text_len": g.text_len,
+                  "symbols": len(t), "start": g.start}
+        cols = (t.arg0, t.arg1, t.level)
+        singles = _one_fault_edits(fields, *cols)
+        plans = [[]] + [[e] for e in singles]
+        plans += [rng.sample(singles, 2) for _ in range(len(singles) // 2)]
+        for plan in plans:
+            f, a0, a1, lv = dict(fields), *(list(col) for col in cols)
+            for edit in plan:
+                _apply(edit, f, a0, a1, lv)
+            if (min(a0 + a1, default=0) < -(1 << 31) or max(a0 + a1, default=0) >= 1 << 31
+                    or any(not 0 <= x <= 65535 for x in lv)):
+                continue  # not writable in int32 / uint16 columns
+            _write_index(path, f, a0, a1, lv)
+            new = _load_outcome(path)
+            with monkeypatch.context() as m:
+                m.setattr(SymbolTable, "from_columns", staticmethod(ref_from_columns))
+                ref = _load_outcome(path)
+            assert new == ref, (text, seed, plan)
+            runs += 1
+            rejected += isinstance(new, str)
+    assert 0 < rejected < runs
 
 
 def test_load_rejects_rounds_other_than_start_level(tmp_path, capsys):
@@ -415,6 +528,10 @@ def test_loaded_table_is_lean(tmp_path):
     assert len(t) == len(g.table)
     assert held <= 110 * len(t), f"{held / len(t):.1f} bytes per symbol"
     assert not t._terminals and not t._pairs and not t._powers
+    # the query loops index these columns; a list reads faster than an array
+    for name in ("arg0", "arg1", "level", "explen"):
+        col = getattr(t, name)
+        assert type(col) is list and len(col) == len(t), name
 
 
 def test_oracle_runs_on_loaded_grammars(tmp_path):
