@@ -206,3 +206,21 @@ def ref_from_columns(arg0, arg1, level, text_len):
     except RlslpError as exc:
         raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
     return table
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def ref_mix64(z: int) -> int:
+    """splitmix64 finalizer; a 64-bit bijective scramble."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def ref_coin(seed: int, level: int, rank: int) -> bool:
+    """The coin of ``rank`` in round ``level``, one rank at a time:
+    ``builder._coins`` must give byte ``rank`` equal to this."""
+    h = ref_mix64(seed ^ ref_mix64((level << 32) ^ rank))
+    return bool(h & 1)

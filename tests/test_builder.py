@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlslp.builder import (
+    _SLICE,
     LevelString,
+    _coins,
     build,
     draw_partition,
     level_string,
@@ -13,7 +17,7 @@ from rlslp.builder import (
 from rlslp.errors import BadLevelError, EmptyTextError
 from rlslp.grammar import POWER, TERMINAL, SymbolTable
 
-from helpers import text_corpus
+from helpers import ref_coin, text_corpus
 
 
 def _terminals(table, s):
@@ -85,6 +89,26 @@ def test_draw_partition_single_symbol():
     t = SymbolTable()
     a = t.intern_terminal("a")
     assert draw_partition(LevelString(1, [a, a, a]), 7) == {a}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, random.Random(19).getrandbits(64)])
+def test_coins_match_reference(seed):
+    # every lane of a packed pass, on both sides of a slice boundary, is the
+    # coin the one-rank reference draws; a lane that bleeds into its
+    # neighbour flips some of them
+    for level in (2, 3, 64, 65534):
+        for d in (0, 1, 2, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3):
+            assert _coins(seed, level, d) == bytes(ref_coin(seed, level, r) for r in range(d))
+
+
+def test_draw_partition_matches_reference():
+    for text, seed in text_corpus(40, 256, seed=19):
+        g = build(text, seed)
+        for k in range(g.rounds + 1):
+            s = level_string(g, k)
+            ref = {sym for rank, sym in enumerate(dict.fromkeys(s.symbols))
+                   if ref_coin(g.seed, k + 1, rank)}
+            assert draw_partition(s, g.seed) == ref
 
 
 def test_build_single_char():

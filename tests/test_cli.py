@@ -13,7 +13,7 @@ import pytest
 
 import rlslp
 from rlslp import lce, rev_lce
-from rlslp.builder import build, level_string
+from rlslp.builder import _SLICE, build, level_string
 from rlslp.cli import load_index, main, save_index
 from rlslp.errors import IndexFormatError, InternalInvariantError
 from rlslp.grammar import Grammar, SymbolTable
@@ -56,6 +56,10 @@ def _lcg_text(sigma: int, n: int) -> str:
     return "".join(out)
 
 
+# a pair round of this text draws more coins than one packed slice holds
+_WIDE_TEXT = _lcg_text(26, 12_000)
+
+
 # sha256 of save_index(build(text, seed)): index bytes are fixed for a fixed
 # (text, seed), so a change to the coins, the rounds, the interning order or
 # the format shows here
@@ -74,11 +78,23 @@ def _lcg_text(sigma: int, n: int) -> str:
      "c1d2d41eb0794e0f4eaf8cffa8c7c8e3b9cb2dda4b419d0d6ffea13702ec3770"),
     ("mississippi", 3,
      "6970ec2da67564d83a9e418126e684b10b9f4dd9bfc53ecebba21062bc255081"),
-], ids=["sigma1", "sigma2", "sigma4", "sigma26", "tandem", "mississippi-0", "mississippi-3"])
+    (_WIDE_TEXT, 0,
+     "15490c5944da184e5b0d2950d84bf8dc7b48e1fe30076b0c854d48a589098d89"),
+], ids=["sigma1", "sigma2", "sigma4", "sigma26", "tandem", "mississippi-0", "mississippi-3",
+        "sigma26-wide"])
 def test_index_bytes_pinned(tmp_path, text, seed, digest):
     path = tmp_path / "idx.rlslp"
     save_index(build(text, seed), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_wide_text_crosses_a_slice():
+    # the sigma26-wide digest pins coins drawn across a slice boundary only
+    # while some pair round (an odd level string) has more than _SLICE
+    # distinct symbols
+    g = build(_WIDE_TEXT, 0)
+    assert max(len(set(level_string(g, k).symbols))
+               for k in range(1, g.rounds, 2)) > _SLICE
 
 
 def test_build_empty_input_exit_2(tmp_path):
