@@ -7,7 +7,11 @@ even rounds draw a random partition of the live symbols, the set of its
 left symbols (every other symbol is right), and merge every left symbol
 immediately followed by a right symbol into a pair production.  Rounds
 repeat until the level string has length one; a round that changes nothing
-still counts.
+still counts.  Each shrink is one pass that reads each symbol once.  The run
+pass ends a run at the first unequal symbol.  The pair pass holds the last
+left symbol until the next symbol decides it: a left one emits it alone, a
+right one merges with it, the end of the string emits it alone.  That is the
+left-to-right greedy scan, since a pair's right symbol is never left.
 
 The coin stream is a counter-based mix of (seed, round, first-occurrence
 rank of the symbol): the coin of rank r in round k is bit 0 of
@@ -105,44 +109,40 @@ def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
     k = s.level + 1
     if k % 2 == 0:
         raise BadLevelError(f"run compression after level {s.level}: needs an odd round")
-    syms = s.symbols
     out: list[int] = []
-    i = 0
-    n = len(syms)
-    while i < n:
-        j = i + 1
-        while j < n and syms[j] == syms[i]:
-            j += 1
-        if j - i >= 2:
-            out.append(table.intern_power(syms[i], j - i, k))
+    it = iter(s.symbols)
+    prev, e = next(it, None), 1
+    for a in it:
+        if a == prev:
+            e += 1
         else:
-            out.append(syms[i])
-        i = j
+            out.append(table.intern_power(prev, e, k) if e > 1 else prev)
+            prev, e = a, 1
+    if prev is not None:
+        out.append(table.intern_power(prev, e, k) if e > 1 else prev)
     return LevelString(k, out)
 
 
 def shrink_pc(s: LevelString, left: set[int], table: SymbolTable) -> LevelString:
     """Merge every symbol in ``left`` followed by one outside it into a pair,
-    one level up.
-
-    A pair's right symbol is not left, so pair blocks never chain, and the
-    local boundary rule and the left-to-right greedy scan agree.
-    """
+    one level up, holding the last left symbol as the module docstring says."""
     k = s.level + 1
     if k % 2 == 1:
         raise BadLevelError(f"pair compression after level {s.level}: needs an even round")
-    syms = s.symbols
     out: list[int] = []
-    i = 0
-    n = len(syms)
-    while i < n:
-        a = syms[i]
-        if a in left and i + 1 < n and syms[i + 1] not in left:
-            out.append(table.intern_pair(a, syms[i + 1], k))
-            i += 2
+    held = None
+    for a in s.symbols:
+        if a in left:
+            if held is not None:
+                out.append(held)
+            held = a
+        elif held is not None:
+            out.append(table.intern_pair(held, a, k))
+            held = None
         else:
             out.append(a)
-            i += 1
+    if held is not None:
+        out.append(held)
     return LevelString(k, out)
 
 

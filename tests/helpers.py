@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from rlslp.errors import IndexFormatError, OutOfRangeError, RlslpError
+from rlslp.builder import LevelString
+from rlslp.errors import BadLevelError, IndexFormatError, OutOfRangeError, RlslpError
 from rlslp.grammar import SymbolTable
 from rlslp.navigator import highest, leaf, step
 
@@ -224,3 +225,50 @@ def ref_coin(seed: int, level: int, rank: int) -> bool:
     ``builder._coins`` must give byte ``rank`` equal to this."""
     h = ref_mix64(seed ^ ref_mix64((level << 32) ^ rank))
     return bool(h & 1)
+
+
+# Reference shrinks: the index-scanning loops that ``builder.shrink_rle`` and
+# ``builder.shrink_pc`` replaced.  On equal tables the one-pass shrinks must
+# return the same level string and intern the same symbols in the same order.
+
+def ref_shrink_rle(s, table):
+    """``builder.shrink_rle`` as an index scan: a run is found by an inner
+    loop from its first symbol."""
+    k = s.level + 1
+    if k % 2 == 0:
+        raise BadLevelError(f"run compression after level {s.level}: needs an odd round")
+    syms = s.symbols
+    out = []
+    i = 0
+    n = len(syms)
+    while i < n:
+        j = i + 1
+        while j < n and syms[j] == syms[i]:
+            j += 1
+        if j - i >= 2:
+            out.append(table.intern_power(syms[i], j - i, k))
+        else:
+            out.append(syms[i])
+        i = j
+    return LevelString(k, out)
+
+
+def ref_shrink_pc(s, left, table):
+    """``builder.shrink_pc`` as the greedy index scan: a left symbol merges
+    with the next symbol when that one is not left."""
+    k = s.level + 1
+    if k % 2 == 1:
+        raise BadLevelError(f"pair compression after level {s.level}: needs an even round")
+    syms = s.symbols
+    out = []
+    i = 0
+    n = len(syms)
+    while i < n:
+        a = syms[i]
+        if a in left and i + 1 < n and syms[i + 1] not in left:
+            out.append(table.intern_pair(a, syms[i + 1], k))
+            i += 2
+        else:
+            out.append(a)
+            i += 1
+    return LevelString(k, out)

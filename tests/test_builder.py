@@ -17,7 +17,7 @@ from rlslp.builder import (
 from rlslp.errors import BadLevelError, EmptyTextError
 from rlslp.grammar import POWER, TERMINAL, SymbolTable
 
-from helpers import ref_coin, text_corpus
+from helpers import ref_coin, ref_shrink_pc, ref_shrink_rle, text_corpus
 
 
 def _terminals(table, s):
@@ -76,6 +76,84 @@ def test_shrink_pc_greedy_left_to_right():
     out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a}, t)
     ab = t.intern_pair(a, b, 2)
     assert out.symbols == [ab, ab, a]
+
+
+def test_shrinks_of_the_empty_string():
+    # an empty string one level up, with nothing read or interned
+    t = SymbolTable()
+    a = t.intern_terminal("a")
+    assert shrink_rle(LevelString(0, []), t) == LevelString(1, [])
+    assert shrink_pc(LevelString(1, []), {a}, t) == LevelString(2, [])
+    assert len(t) == 1
+
+
+def test_shrinks_pass_one_symbol_through():
+    t = SymbolTable()
+    a = t.intern_terminal("a")
+    assert shrink_rle(LevelString(0, [a]), t) == LevelString(1, [a])
+    for left in ({a}, set()):
+        assert shrink_pc(LevelString(1, [a]), left, t) == LevelString(2, [a])
+    assert len(t) == 1
+
+
+def _table_state(t):
+    return t.arg0, t.arg1, t.level, t.explen, t._pairs, t._powers
+
+
+def _fresh_tables(letters):
+    tables = (SymbolTable(), SymbolTable())
+    for t in tables:
+        _terminals(t, letters)
+    return tables
+
+
+def _shrink_both(s, left, tables):
+    """``s`` one level up by the builder's shrink on ``tables[0]`` and by the
+    reference on ``tables[1]``, a pair round when ``left`` is given; the
+    outputs and the tables afterwards must be equal."""
+    new, ref = tables
+    if left is None:
+        out, want = shrink_rle(s, new), ref_shrink_rle(s, ref)
+    else:
+        out, want = shrink_pc(s, left, new), ref_shrink_pc(s, left, ref)
+    assert out == want
+    assert _table_state(new) == _table_state(ref)
+    return out
+
+
+def test_shrinks_match_reference_on_builds():
+    # every round of a build, replayed under its coins by both shrinks from
+    # two fresh tables: the level strings, the symbols and their ids agree,
+    # and the tables end as the built one (build runs last, so a broken
+    # shrink fails here rather than stalling build's seed retries)
+    for text, seed in text_corpus(48, 256, seed=23):
+        tables = _fresh_tables(dict.fromkeys(text))
+        s = LevelString(0, [tables[0].intern_terminal(ch) for ch in text])
+        while len(s.symbols) > 1 and s.level < round_cap(len(text)):
+            s = _shrink_both(s, draw_partition(s, seed) if s.level % 2 else None, tables)
+        g = build(text, seed)
+        assert (g.seed, g.rounds, g.start) == (seed, s.level, s.symbols[0])
+        assert _table_state(tables[0])[:4] == _table_state(g.table)[:4]
+
+
+@pytest.mark.parametrize("word, left", [
+    ("", "ab"),        # empty
+    ("a", "a"),        # one left symbol, held to the end
+    ("a", ""),         # one right symbol
+    ("abb", "b"),      # a run, and a held left symbol, at the very end
+    ("aab", "a"),      # two left symbols before a right one
+    ("abab", "ab"),    # all left
+    ("abab", ""),      # all right
+    ("ababa", "a"),    # alternating, starting and ending left
+    ("babab", "a"),    # alternating, starting and ending right
+    ("aabbbcaa", "ac"),
+])
+def test_shrinks_match_reference_on_crafted_strings(word, left):
+    tables = _fresh_tables("abc")
+    ids = dict(zip("abc", range(3)))
+    syms = [ids[ch] for ch in word]
+    _shrink_both(LevelString(0, syms), None, tables)
+    _shrink_both(LevelString(1, syms), {ids[ch] for ch in left}, tables)
 
 
 def test_draw_partition_pinned_and_deterministic():

@@ -80,8 +80,11 @@ _WIDE_TEXT = _lcg_text(26, 12_000)
      "6970ec2da67564d83a9e418126e684b10b9f4dd9bfc53ecebba21062bc255081"),
     (_WIDE_TEXT, 0,
      "15490c5944da184e5b0d2950d84bf8dc7b48e1fe30076b0c854d48a589098d89"),
+    # 21000 characters of one 7-letter period: repeated pairs fill the pair rounds
+    (_lcg_text(4, 7) * 3000, 0,
+     "fdf803736e929125199e292833a6cb163a6b3214f1ab21ee54da47670beca0c1"),
 ], ids=["sigma1", "sigma2", "sigma4", "sigma26", "tandem", "mississippi-0", "mississippi-3",
-        "sigma26-wide"])
+        "sigma26-wide", "tandem-long"])
 def test_index_bytes_pinned(tmp_path, text, seed, digest):
     path = tmp_path / "idx.rlslp"
     save_index(build(text, seed), str(path))
