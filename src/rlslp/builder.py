@@ -37,7 +37,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import BadLevelError, EmptyTextError
+from .errors import BadLevelError, EmptyTextError, InternalInvariantError
 from .grammar import Grammar, SymbolTable
 
 _MASK64 = (1 << 64) - 1
@@ -151,7 +151,8 @@ def build(text: str, seed: int = 0) -> Grammar:
 
     If the round count would exceed ``round_cap(len(text))``, the build
     restarts with seed+1 (chained); the returned grammar records the seed
-    actually used.
+    actually used.  A round that leaves an empty string raises
+    ``InternalInvariantError``: only a faulty shrink can do that.
     """
     if len(text) == 0:
         raise EmptyTextError("cannot build a grammar for the empty text")
@@ -167,6 +168,8 @@ def build(text: str, seed: int = 0) -> Grammar:
                 cur = shrink_rle(cur, table)
             else:
                 cur = shrink_pc(cur, draw_partition(cur, use_seed), table)
+            if not cur.symbols:  # a shrink lost symbols: retrying would never end
+                raise InternalInvariantError(f"round {cur.level} left an empty string")
         if len(cur.symbols) == 1:
             return Grammar(table=table, start=cur.symbols[0], rounds=cur.level,
                            seed=use_seed, text_len=n)

@@ -25,6 +25,8 @@ Everything runs in O(r) node operations per query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .extension import lce, rev_lce
 from .grammar import Grammar
-from .navigator import Navigator, leaf, step
+from .navigator import Navigator, leaf
 from .popped import PoppedSeq, Run, pseq
 
 @dataclass(frozen=True)
@@ -125,7 +127,8 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
     every level-(k+1) symbol and then tests the size once: expanding never
     shrinks the pattern, so the first k whose size exceeds k is the level
     however often the size is tested.  One pass then expands L_level..L_q,
-    R_q..R_level straight down to the level, merging equal neighbours.  The
+    R_q..R_level straight down to the level with an explicit stack, merging
+    equal neighbours.  The
     result has at most 2*level+4 runs: each of the at most level+1
     level-(level+1) symbols gives at most two, L_level and R_level one each.
     """
@@ -134,7 +137,7 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
     if ps is None:
         ps = pseq(g, x, x2, nav)
     t = g.table
-    lvl = t.level
+    lvl, a0, a1 = t.level, t.arg0, t.arg1
     q = ps.q
 
     # ---- locate the proxy level ----
@@ -146,7 +149,7 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
                 buckets[lvl[run[0]]].append(run)
                 size += run[1]
         for sym, mult in buckets[level + 1]:  # round level+1 made them all
-            b, c = t.arg0[sym], t.arg1[sym]
+            b, c = a0[sym], a1[sym]
             if level & 1:  # pairs
                 buckets[lvl[b]].append((b, mult))
                 buckets[lvl[c]].append((c, mult))
@@ -160,32 +163,32 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
         raise InternalInvariantError("proxy level not found: the pattern cannot be empty")
 
     # ---- expand the popped runs straight down to the level ----
+    # a stack of runs still to expand, the next one on top
+    stack = [run for run in (*ps.right[level:], *reversed(ps.left[level:])) if run is not None]
     out: list[Run] = []
-
-    def emit(sym: int, mult: int) -> None:
+    while stack:
+        sym, mult = stack.pop()
         if lvl[sym] <= level:
             if out and out[-1][0] == sym:
                 out[-1] = (sym, out[-1][1] + mult)
             else:
                 out.append((sym, mult))
         elif lvl[sym] & 1:  # a power
-            emit(t.arg0[sym], t.arg1[sym] * mult)
-        else:
-            for _ in range(mult):
-                emit(t.arg0[sym], 1)
-                emit(t.arg1[sym], 1)
-
-    for run in (*ps.left[level:], *reversed(ps.right[level:])):
-        if run is not None:
-            emit(*run)
+            stack.append((a0[sym], a1[sym] * mult))
+        else:  # a pair, mult times: its left child on top
+            stack += ((a1[sym], 1), (a0[sym], 1)) * mult
     if len(out) > 2 * level + 4:
         raise InternalInvariantError("proxy pattern has more runs than its level allows")
 
     left_off = ps.left_exp[level]
     right_cut = (x2 - x) - ps.right_exp[level]
     exp_len = right_cut - left_off
-    sym_len = sum(e for _, e in out)
-    if exp_len != sum(e * t.explen[s] for s, e in out):
+    sym_len = total = 0
+    explen = t.explen
+    for sym, e in out:
+        sym_len += e
+        total += e * explen[sym]
+    if exp_len != total:
         raise InternalInvariantError("proxy pattern does not expand to its window of X")
     if sym_len <= level:
         raise InternalInvariantError("proxy pattern not longer than its level")
@@ -198,9 +201,9 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     """Cut the proxy window of the level string around the middle of Y.
 
     Walks the blocks of the next level string to either side of the middle
-    position's block, then expands them one level down and, in the same
-    pass, trims the result to at most window = sym_len+level-1 symbols on
-    either side of the middle position's ancestor and to symbols whose
+    position's block, expanding each block one level down into runs as it
+    goes, then trims the runs to at most window = sym_len+level-1 symbols
+    on either side of the middle position's ancestor and to symbols whose
     expansions lie inside Y.  May be empty.  Each side's walk stops at the
     first of:
 
@@ -210,6 +213,14 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     (b) blocks holding window level-``level`` symbols in all: blocks
         further out lie beyond the trim width;
     (c) 2*level+2 blocks.
+
+    The trim cuts only at the two ends.  Both of its bounds, [-window,
+    window] on a symbol's index and [y, y2) on its expansion, are
+    intervals in text order, so the symbols kept are contiguous: from the
+    left, runs are cut up to the first run that is whole on that side, and
+    likewise from the right.  That run need not lie in the outermost
+    block: when the middle position's ancestor lies deep inside a long
+    power, runs of several blocks fall outside the window.
     """
     if y2 <= y:
         raise EmptyFragmentError("proxy text of an empty fragment")
@@ -217,8 +228,7 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
         raise OutOfRangeError(f"fragment [{y}, {y2}) outside [0, {g.text_len})")
     if nav is None:
         nav = Navigator(g)
-    t = g.table
-    lvl, a0, a1, ln = t.level, t.arg0, t.arg1, t.explen
+    lvl, a0, a1, ln = nav.cols
     level = pp.level
     m = y + (y2 - y) // 2
 
@@ -231,94 +241,174 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
             v = par
         if k == level:
             m_node = v
-    nav.steps += level + 1
+    c = level + 1
 
-    # the block of T[m] at level+1 and the blocks rules (a)-(c) keep beside it
+    # the block of T[m] at level+1, expanded; m_node is symbol i of it
     top = level + 1
     window = pp.sym_len + level - 1
     radius = 2 * level + 2
-    blocks = [v]
-    for forward in (False, True):
-        cur = v
-        held = 0
-        for _ in range(radius):
-            if held >= window or (cur[0] + ln[cur[1]] >= y2 if forward else cur[0] <= y):
-                break
-            cur = step(nav, cur, top, forward)
-            blocks.append(cur)
-            s = cur[1]
-            if lvl[s] != top:
-                held += 1
-            else:
-                held += a1[s] if top & 1 else 2  # a power, else a pair
-        if not forward:
-            blocks.reverse()
-            held_back = held
-
-    # index level-`level` symbols from m_node, which is symbol i of its
-    # block's expansion; the symbol trim keeps indices in [-window, window]
     pos, s, _ = v
     off = m_node[0] - pos
     if not 0 <= off < ln[s]:
         raise InternalInvariantError("proxy-level ancestor of T[m] outside its block")
-    if top & 1 and lvl[s] == top:
-        i = off // ln[a0[s]]
-    else:  # a pair's second child, or the block itself
+    if lvl[s] != top:
+        b, nv, i = s, 1, 0
+        mid = [(s, 1)]
+        aligned = off == 0
+    elif top & 1:  # a power
+        b, nv = a0[s], a1[s]
+        i = off // ln[b]
+        mid = [(b, nv)]
+        aligned = off == i * ln[b]
+    else:  # a pair
+        nv = 2
         i = 0 if off == 0 else 1
-    base = -held_back - i  # index of the next run's first symbol
+        b = a1[s] if i else a0[s]
+        mid = [(a0[s], 1), (a1[s], 1)]
+        aligned = off == i * ln[a0[s]]
+    if not aligned or b != m_node[1]:
+        raise InternalInvariantError("proxy-level ancestor of T[m] misaligned in its block")
 
-    # expand the blocks one level down and keep the symbols inside both
-    # trims: within `window` of m_node, and with expansions inside Y.  The
-    # bounds use plain comparisons: max/min calls made this loop, which
-    # runs once per window symbol, markedly slower.
-    out: list[Run] = []
-    text_start = y
-    exp_len = 0
-    sym_len = 0
-    end = -1  # text position just past the last kept symbol
-    for pos, s, _ in blocks:
-        if lvl[s] != top:
-            runs = ((s, 1, pos),)
-        elif top & 1:  # a power
-            runs = ((a0[s], a1[s], pos),)
+    # walk back from the block, then on from it, with the moves of
+    # ``rlslp.navigator`` inline, expanding each block on the way and
+    # merging equal neighbours
+    back: list[Run] = []  # the runs before the block, nearest first
+    held_back = 0  # symbols in them
+    start = pos  # text position of the walked blocks' expansion
+    p, s, par = v
+    for _ in range(radius):
+        if held_back >= window or p <= y:
+            break
+        while par is not None:  # climb to the sibling before
+            c += 2
+            ps = par[1]
+            if lvl[ps] & 1:  # a power: a sibling unless s is its first copy
+                if p > par[0]:
+                    p -= ln[s]
+                    break
+            elif p != par[0]:  # a pair: the left child
+                p, s = par[0], a0[ps]
+                break
+            p, s, par = par
         else:
+            raise InternalInvariantError("proxy window walk left the text")
+        while lvl[s] > top:  # last children down to level+1
+            c += 1
+            par = (p, s, par)
             b = a0[s]
-            runs = ((b, 1, pos), (a1[s], 1, pos + ln[b]))
-        for sym, e, start in runs:
-            w = ln[sym]
-            if base <= 0 < base + e and (sym != m_node[1] or start - base * w != m_node[0]):
-                raise InternalInvariantError("proxy-level ancestor of T[m] misaligned in its block")
-            lo = -window - base
-            if lo < 0:
-                lo = 0
-            if start < y:
-                c = -((start - y) // w)  # ceil((y - start) / w)
-                if c > lo:
-                    lo = c
-            hi = window - base
-            if hi >= e:
-                hi = e - 1
-            c = (y2 - start) // w - 1
-            if c < hi:
-                hi = c
-            base += e
-            if lo > hi:
-                continue
-            first = start + lo * w
-            if end < 0:
-                text_start = first
-            elif first != end:
-                raise InternalInvariantError("proxy window not contiguous")
-            k = hi - lo + 1
-            end = first + k * w
-            if out and out[-1][0] == sym:
-                out[-1] = (sym, out[-1][1] + k)
+            if lvl[s] & 1:  # a power: its last copy
+                p += ln[s] - ln[b]
             else:
-                out.append((sym, k))
-            exp_len += k * w
-            sym_len += k
-    return ProxyText(rle=tuple(out), text_start=text_start,
-                     exp_len=exp_len, sym_len=sym_len)
+                p += ln[b]
+                b = a1[s]
+            s = b
+        if p + ln[s] != start:
+            raise InternalInvariantError("proxy window not contiguous")
+        start = p
+        if lvl[s] != top:
+            runs = ((s, 1),)
+        elif top & 1:  # a power
+            runs = ((a0[s], a1[s]),)
+        else:
+            runs = ((a1[s], 1), (a0[s], 1))
+        for b, e in runs:
+            held_back += e
+            if back and back[-1][0] == b:
+                back[-1] = (b, back[-1][1] + e)
+            else:
+                back.append((b, e))
+
+    held = 0  # symbols in the blocks after the block
+    end = pos + ln[v[1]]  # text position just past the walked blocks
+    p, s, par = v
+    for _ in range(radius):
+        if held >= window or p + ln[s] >= y2:
+            break
+        while par is not None:  # climb to the sibling after
+            c += 2
+            ps = par[1]
+            if lvl[ps] & 1:  # a power: a sibling unless s is its last copy
+                if p + ln[s] < par[0] + ln[ps]:
+                    p += ln[s]
+                    break
+            elif p == par[0]:  # a pair: the right child
+                p, s = p + ln[s], a1[ps]
+                break
+            p, s, par = par
+        else:
+            raise InternalInvariantError("proxy window walk left the text")
+        while lvl[s] > top:  # first children down to level+1
+            c += 1
+            par = (p, s, par)
+            s = a0[s]
+        if p != end:
+            raise InternalInvariantError("proxy window not contiguous")
+        end = p + ln[s]
+        if lvl[s] != top:
+            runs = ((s, 1),)
+        elif top & 1:  # a power
+            runs = ((a0[s], a1[s]),)
+        else:
+            runs = ((a0[s], 1), (a1[s], 1))
+        for b, e in runs:
+            held += e
+            if mid[-1][0] == b:
+                mid[-1] = (b, mid[-1][1] + e)
+            else:
+                mid.append((b, e))
+    nav.steps += c
+
+    back.reverse()
+    if back and back[-1][0] == mid[0][0]:
+        mid[0] = (mid[0][0], back.pop()[1] + mid[0][1])
+    runs = back + mid
+
+    # trim from the left: the first run's first symbol has index ``first``
+    # counted from m_node, and its expansion starts at ``start``
+    first = -held_back - i
+    a, z = 0, len(runs)
+    while a < z:
+        b, e = runs[a]
+        w = ln[b]
+        cut = -window - first
+        if start < y:
+            t = -((start - y) // w)  # ceil((y - start) / w)
+            if t > cut:
+                cut = t
+        if cut <= 0:  # whole on the left, and so is every run after it
+            break
+        if cut < e:
+            runs[a] = (b, e - cut)
+            start += cut * w
+            first += cut
+            break
+        start += e * w
+        first += e
+        a += 1
+    # trim from the right: the last run's last symbol has index ``last`` - 1
+    # and its expansion ends at ``end``
+    last = nv - i + held
+    while z > a:
+        b, e = runs[z - 1]
+        w = ln[b]
+        keep = window - (last - e) + 1
+        t = (y2 - end) // w + e
+        if t < keep:
+            keep = t
+        if keep >= e:  # whole on the right, and so is every run before it
+            break
+        if keep > 0:
+            runs[z - 1] = (b, keep)
+            end -= (e - keep) * w
+            last -= e - keep
+            break
+        end -= e * w
+        last -= e
+        z -= 1
+    if a == z:
+        return ProxyText(rle=(), text_start=y, exp_len=0, sym_len=0)
+    return ProxyText(rle=tuple(runs[a:z]), text_start=start,
+                     exp_len=end - start, sym_len=last - first)
 
 
 def _failure(tokens: Sequence[Run]) -> list[int]:
@@ -356,40 +446,39 @@ def rle_match(pattern: Sequence[Run], seq: Sequence[Run]) -> list[Progression]:
         return out
 
     # multi-run pattern: failure-function match over the interior runs,
-    # then boundary checks on the two flanking runs
-    first = pattern[0]
-    last = pattern[-1]
+    # then boundary checks on the two flanking runs; an occurrence is the
+    # index u in seq of its first interior run
+    (fs, fe), (ls, le) = pattern[0], pattern[-1]
     interior = list(pattern)[1:-1]
-    prefix = [0] * (len(seq) + 1)
-    for i, (_, e) in enumerate(seq):
-        prefix[i + 1] = prefix[i] + e
-
-    occs: list[int] = []
-
-    def check(u: int) -> None:
-        # interior (possibly empty) occupies seq[u .. u+len(interior))
-        j = u + len(interior)
-        if u - 1 < 0 or j >= len(seq):
-            return
-        ls, le = seq[u - 1]
-        rs, re = seq[j]
-        if ls == first[0] and le >= first[1] and rs == last[0] and re >= last[1]:
-            occs.append(prefix[u] - first[1])
-
+    ni = len(interior)
+    starts: list[int] = []
     if interior:
         pi = _failure(interior)
         k = 0
+        last = len(seq) - 1
         for i, tok in enumerate(seq):
             while k > 0 and tok != interior[k]:
                 k = pi[k - 1]
             if tok == interior[k]:
                 k += 1
-            if k == len(interior):
-                check(i - k + 1)
+            if k == ni:
                 k = pi[k - 1]
+                u = i - ni + 1
+                if 0 < u and i < last:
+                    a, ae = seq[u - 1]
+                    b, be = seq[i + 1]
+                    if a == fs and ae >= fe and b == ls and be >= le:
+                        starts.append(u)
     else:
         for u in range(1, len(seq)):
-            check(u)
+            a, ae = seq[u - 1]
+            b, be = seq[u]
+            if a == fs and ae >= fe and b == ls and be >= le:
+                starts.append(u)
+    if not starts:
+        return []
+    prefix = [0, *accumulate(map(itemgetter(1), seq))]
+    occs = [prefix[u] - fe for u in starts]
 
     # greedy grouping into progressions with difference <= plen: each
     # occurrence extends the last progression if it is its next term
@@ -510,8 +599,11 @@ def ipm_query(g: Grammar, x: int, x2: int, y: int, y2: int,
     progression.
     """
     n = g.text_len
-    if not (0 <= x <= x2 <= n and 0 <= y <= y2 <= n):
+    if not (0 <= x <= n and 0 <= x2 <= n and 0 <= y <= n and 0 <= y2 <= n):
         raise OutOfRangeError(f"fragments ([{x},{x2}), [{y},{y2})) outside [0, {n}]")
+    if x2 < x or y2 < y:
+        which, i, j = ("X", x, x2) if x2 < x else ("Y", y, y2)
+        raise OutOfRangeError(f"fragment {which} = [{i},{j}) is reversed")
     if x2 <= x:
         raise EmptyPatternError("IPM pattern fragment is empty")
     if y2 - y >= 2 * (x2 - x):

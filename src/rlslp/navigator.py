@@ -10,21 +10,30 @@ The uncompressed parse tree subdivides edges so that each character of
 each level string is a node of its own.  Such a node is a cursor plus the
 level ``k``, carried beside it as an int: the cursor of the parse-tree node
 whose symbol was created at or below round k and whose parent's was
-created above it.  ``step`` moves in that view.
+created above it.
 
 Moves take ``forward``: True walks towards the end of the text, False
 towards its start.  Positions are always plain text positions.
 
-The engine is ``leaf`` and ``highest``, which descend from the root, and
-``step``, the one climbing-and-descending loop.  Each charges steps to the
-``Navigator`` it is given: a descent two per level; ``step`` two per
-parent it climbs to (a sibling test, then the move) and one per level it
-descends.  The query loops do their single moves inline on
-``Navigator.cols`` and charge one step for each: ``up`` in ``pseq`` and
-``proxy_text``; ``ahead``, ``jump`` and ``first_child`` in LCE, whose
-climb charges as ``step``'s does.  The complexity tests read the counter
-back per query.  Chains of ``up`` and ``step`` in one direction cost
-O(r + chain length) overall.
+The engine is ``leaf`` and ``highest``, which descend from the root and
+charge two steps per level to the ``Navigator`` they are given.  Every
+other move is done inline by the query loops on ``Navigator.cols``, which
+charge a local counter and add it to ``Navigator.steps`` once per call,
+by these rules:
+
+- a single move costs one step: ``up`` (the level-(k+1) node above a
+  level-k node) in ``pseq`` and ``proxy_text``; ``ahead``, ``jump`` and
+  ``first_child`` in LCE;
+- a climb to the sibling ahead of a node or of its nearest ancestor that
+  has one costs two per parent it tests (a sibling test, then the move);
+- the descent after a climb, first (forward) or last (backward) children
+  down to level k, costs one per level.
+
+A climb and its descent take a level-k node to the next (forward) or
+previous (backward) character of level string k; ``pseq`` and
+``proxy_text`` walk their blocks that way.  The complexity tests read the
+counter back per query.  Chains of ``up`` moves and of such walks in one
+direction cost O(r + chain length) overall.
 """
 
 from __future__ import annotations
@@ -82,42 +91,3 @@ def highest(nav: Navigator, i: int, forward: bool) -> Cursor:
     if forward:
         return _descend(nav, i, i, nav.g.text_len)
     return _descend(nav, i - 1, 0, i)
-
-
-def step(nav: Navigator, v: Cursor, k: int, forward: bool) -> Cursor | None:
-    """Next (forward) or previous (backward) character of level string ``k``
-    after the level-k node ``v``; None past the end of the string.  Climbs
-    to the sibling ahead of ``v`` or of its nearest ancestor that has one,
-    then takes first children down to level k, all in one frame."""
-    lvl, a0, a1, ln = nav.cols
-    pos, s, par = v
-    n = 0
-    while par is not None:
-        n += 2
-        ps = par[1]
-        if lvl[ps] & 1:  # a power: a sibling unless s is its last (first) copy
-            if pos + ln[s] < par[0] + ln[ps] if forward else pos > par[0]:
-                pos += ln[s] if forward else -ln[s]
-                break
-        elif (pos == par[0]) == forward:  # a pair: the other child
-            pos, s = (pos + ln[s], a1[ps]) if forward else (par[0], a0[ps])
-            break
-        pos, s, par = par
-    else:
-        nav.steps += n
-        return None
-    v = (pos, s, par)
-    while lvl[s] > k:
-        n += 1
-        b = a0[s]
-        if not forward:
-            if lvl[s] & 1:  # a power: its last copy
-                pos += ln[s] - ln[b]
-            else:
-                pos += ln[b]
-                b = a1[s]
-        v = (pos, b, v)
-        s = b
-    nav.steps += n
-    return v
-

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 
 from rlslp.builder import LevelString
-from rlslp.errors import BadLevelError, IndexFormatError, OutOfRangeError, RlslpError
+from rlslp.errors import (BadLevelError, EmptyFragmentError, IndexFormatError,
+                          InternalInvariantError, OutOfRangeError, RlslpError)
 from rlslp.grammar import SymbolTable
-from rlslp.navigator import highest, leaf, step
+from rlslp.ipm import ProxyText
+from rlslp.navigator import highest, leaf
 
 ALPHABETS = (1, 2, 4, 26)
 
@@ -34,11 +36,50 @@ def random_ipm_pair(rng: random.Random, n: int) -> tuple[int, int, int, int]:
     return x, x + xl, y, y + yl
 
 
-# Reference moves.  The single moves ``ahead``, ``jump``, ``first_child``,
-# ``up`` and ``climb`` are the steps that the query loops take inline, and
-# ``ref_climb``, ``ref_step``, ``ref_pseq`` and ``ref_lce`` rebuild the
-# fused walks as chains of them.  The fused walks must return the same
-# cursors and answers and charge the same steps.
+# Reference moves.  The single moves ``ahead``, ``jump``, ``first_child``
+# and ``up``, and the climb-and-descend walks ``step`` and ``climb``, are the
+# moves that the query loops take inline.  ``ref_climb``, ``ref_step``,
+# ``ref_pseq`` and ``ref_lce`` rebuild the walks as chains of single moves,
+# and ``ref_proxy_text`` walks by ``step``.  The inline walks must return the
+# same cursors and answers and charge the same steps.
+
+def step(nav, v, k, forward):
+    """Next (forward) or previous (backward) character of level string ``k``
+    after the level-k node ``v``; None past the end of the string.  Climbs
+    to the sibling ahead of ``v`` or of its nearest ancestor that has one,
+    then takes first children down to level k, all in one frame."""
+    lvl, a0, a1, ln = nav.cols
+    pos, s, par = v
+    n = 0
+    while par is not None:
+        n += 2
+        ps = par[1]
+        if lvl[ps] & 1:  # a power: a sibling unless s is its last (first) copy
+            if pos + ln[s] < par[0] + ln[ps] if forward else pos > par[0]:
+                pos += ln[s] if forward else -ln[s]
+                break
+        elif (pos == par[0]) == forward:  # a pair: the other child
+            pos, s = (pos + ln[s], a1[ps]) if forward else (par[0], a0[ps])
+            break
+        pos, s, par = par
+    else:
+        nav.steps += n
+        return None
+    v = (pos, s, par)
+    while lvl[s] > k:
+        n += 1
+        b = a0[s]
+        if not forward:
+            if lvl[s] & 1:  # a power: its last copy
+                pos += ln[s] - ln[b]
+            else:
+                pos += ln[b]
+                b = a1[s]
+        v = (pos, b, v)
+        s = b
+    nav.steps += n
+    return v
+
 
 def ahead(nav, v, forward):
     """Number of siblings of ``v`` in the direction of travel; 0 at the root."""
@@ -174,6 +215,119 @@ def ref_lce(nav, i, i2, forward):
             if l2 >= l1:
                 v2 = first_child(nav, v2, forward)
     return total
+
+
+def ref_proxy_text(g, y, y2, pp, nav):
+    """``ipm.proxy_text`` with its blocks walked by ``step`` and every
+    expanded run trimmed on its own, on both sides.  The inline walk and its
+    trim at the two ends must give an equal ``ProxyText`` and charge the
+    same steps."""
+    if y2 <= y:
+        raise EmptyFragmentError("proxy text of an empty fragment")
+    if not (0 <= y and y2 <= g.text_len):
+        raise OutOfRangeError(f"fragment [{y}, {y2}) outside [0, {g.text_len})")
+    t = g.table
+    lvl, a0, a1, ln = t.level, t.arg0, t.arg1, t.explen
+    level = pp.level
+    m = y + (y2 - y) // 2
+
+    # lift T[m] to level+1, one ``up`` move per level, inline
+    v = leaf(nav, m)
+    m_node = v  # proxy-level ancestor of T[m]
+    for k in range(1, level + 2):
+        par = v[2]
+        if par is not None and lvl[par[1]] == k:
+            v = par
+        if k == level:
+            m_node = v
+    nav.steps += level + 1
+
+    # the block of T[m] at level+1 and the blocks rules (a)-(c) keep beside it
+    top = level + 1
+    window = pp.sym_len + level - 1
+    radius = 2 * level + 2
+    blocks = [v]
+    for forward in (False, True):
+        cur = v
+        held = 0
+        for _ in range(radius):
+            if held >= window or (cur[0] + ln[cur[1]] >= y2 if forward else cur[0] <= y):
+                break
+            cur = step(nav, cur, top, forward)
+            blocks.append(cur)
+            s = cur[1]
+            if lvl[s] != top:
+                held += 1
+            else:
+                held += a1[s] if top & 1 else 2  # a power, else a pair
+        if not forward:
+            blocks.reverse()
+            held_back = held
+
+    # index level-`level` symbols from m_node, which is symbol i of its
+    # block's expansion; the symbol trim keeps indices in [-window, window]
+    pos, s, _ = v
+    off = m_node[0] - pos
+    if not 0 <= off < ln[s]:
+        raise InternalInvariantError("proxy-level ancestor of T[m] outside its block")
+    if top & 1 and lvl[s] == top:
+        i = off // ln[a0[s]]
+    else:  # a pair's second child, or the block itself
+        i = 0 if off == 0 else 1
+    base = -held_back - i  # index of the next run's first symbol
+
+    # expand the blocks one level down and keep the symbols inside both
+    # trims: within `window` of m_node, and with expansions inside Y.  The
+    # bounds use plain comparisons: max/min calls made this loop, which
+    # runs once per window symbol, markedly slower.
+    out: list[Run] = []
+    text_start = y
+    exp_len = 0
+    sym_len = 0
+    end = -1  # text position just past the last kept symbol
+    for pos, s, _ in blocks:
+        if lvl[s] != top:
+            runs = ((s, 1, pos),)
+        elif top & 1:  # a power
+            runs = ((a0[s], a1[s], pos),)
+        else:
+            b = a0[s]
+            runs = ((b, 1, pos), (a1[s], 1, pos + ln[b]))
+        for sym, e, start in runs:
+            w = ln[sym]
+            if base <= 0 < base + e and (sym != m_node[1] or start - base * w != m_node[0]):
+                raise InternalInvariantError("proxy-level ancestor of T[m] misaligned in its block")
+            lo = -window - base
+            if lo < 0:
+                lo = 0
+            if start < y:
+                c = -((start - y) // w)  # ceil((y - start) / w)
+                if c > lo:
+                    lo = c
+            hi = window - base
+            if hi >= e:
+                hi = e - 1
+            c = (y2 - start) // w - 1
+            if c < hi:
+                hi = c
+            base += e
+            if lo > hi:
+                continue
+            first = start + lo * w
+            if end < 0:
+                text_start = first
+            elif first != end:
+                raise InternalInvariantError("proxy window not contiguous")
+            k = hi - lo + 1
+            end = first + k * w
+            if out and out[-1][0] == sym:
+                out[-1] = (sym, out[-1][1] + k)
+            else:
+                out.append((sym, k))
+            exp_len += k * w
+            sym_len += k
+    return ProxyText(rle=tuple(out), text_start=text_start,
+                     exp_len=exp_len, sym_len=sym_len)
 
 
 def ref_from_columns(arg0, arg1, level, text_len):

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rlslp
 from rlslp.builder import (
     _SLICE,
     LevelString,
@@ -289,3 +294,39 @@ def test_round_cap_respected():
     for text, seed in text_corpus(12, 200, seed=17):
         g = build(text, seed)
         assert g.rounds <= round_cap(len(text))
+
+
+_LOSSY_SHRINK = """
+import rlslp.builder as builder
+from rlslp.errors import InternalInvariantError
+
+def shrink_rle(s, table):  # without its final flush: the last run is lost
+    k = s.level + 1
+    out = []
+    it = iter(s.symbols)
+    prev, e = next(it, None), 1
+    for a in it:
+        if a == prev:
+            e += 1
+        else:
+            out.append(table.intern_power(prev, e, k) if e > 1 else prev)
+            prev, e = a, 1
+    return builder.LevelString(k, out)
+
+builder.shrink_rle = shrink_rle
+try:
+    builder.build("aaaa", 0)
+except InternalInvariantError as exc:
+    print(exc)
+"""
+
+
+def test_empty_round_raises_instead_of_retrying():
+    # a shrink that loses symbols empties the string of "aaaa" in round 1;
+    # build must raise there, not retry seeds forever.  The probe runs in
+    # its own process with a timeout, so a hang fails the test.
+    src = Path(rlslp.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", _LOSSY_SHRINK], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "round 1 left an empty string\n"

@@ -195,6 +195,11 @@ def test_query_error_exit_codes(tmp_path, capsys):
     # a leading minus is still a number: out of range -> 3
     assert main(["query", "--index", str(path), "lce", "-1", "3"]) == 3
     assert capsys.readouterr().err == "error: positions (-1, 3) outside [0, 4]\n"
+    # a reversed fragment inside the text is named as reversed -> 3
+    assert main(["query", "--index", str(path), "ipm", "4", "0", "0", "3"]) == 3
+    assert capsys.readouterr().err == "error: fragment X = [4,0) is reversed\n"
+    assert main(["query", "--index", str(path), "ipm", "0", "2", "3", "1"]) == 3
+    assert capsys.readouterr().err == "error: fragment Y = [3,1) is reversed\n"
     # an unknown option elsewhere is still argparse's usage error
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--index", str(path), "-x"])

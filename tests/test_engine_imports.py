@@ -1,9 +1,9 @@
 """The query modules import only the navigation engine.
 
-``rlslp.navigator`` is ``Navigator``, ``leaf``, ``highest`` and ``step``.
-The query loops do their single moves (``up``, ``ahead``, ``jump``,
-``first_child``) inline, so a per-move function call cannot come back into
-a query loop through an import.
+``rlslp.navigator`` is ``Navigator``, ``leaf`` and ``highest``.  The query
+loops do every other move (``up``, ``ahead``, ``jump``, ``first_child`` and
+the climb-and-descend walk) inline, so a per-move function call cannot come
+back into a query loop through an import.
 """
 
 import ast
@@ -13,7 +13,7 @@ import rlslp
 
 PACKAGE = Path(rlslp.__file__).parent
 QUERY = ("popped.py", "extension.py", "ipm.py")
-ENGINE = {"Navigator", "leaf", "highest", "step"}
+ENGINE = {"Navigator", "leaf", "highest"}
 
 
 def _navigator_imports(name):

@@ -21,10 +21,10 @@ from rlslp.ipm import (
     rle_match,
     verify_progression,
 )
-from rlslp.navigator import Navigator
+from rlslp.navigator import Navigator, leaf
 from rlslp.oracle import naive_occ, naive_proxy_text, naive_pseq_levels
 
-from helpers import random_ipm_pair, random_text, text_corpus
+from helpers import random_ipm_pair, random_text, ref_proxy_text, text_corpus
 
 
 # ---------------------------------------------------------------- progressions
@@ -153,6 +153,80 @@ def test_proxy_text_matches_exact_window_oracle():
             # runs are maximal: no two neighbours share a symbol
             for rle in (pp.rle, pt.rle):
                 assert all(a[0] != b[0] for a, b in zip(rle, rle[1:])), (text, seed, rle)
+
+
+def _same_as_reference(g, y, y2, pp):
+    # the inline walk gives the reference's ProxyText and charges its steps
+    nav, ref_nav = Navigator(g), Navigator(g)
+    got = proxy_text(g, y, y2, pp, nav)
+    assert got == ref_proxy_text(g, y, y2, pp, ref_nav), (y, y2, pp)
+    assert nav.steps == ref_nav.steps, (y, y2, pp)
+
+
+def _tandem_texts(rng):
+    yield "a" * 700
+    yield ("ab" * 400)[:777]
+    yield "a" * 300 + "b" + "a" * 300
+    yield "a" * 250 + "b" * 250 + "a" * 250
+    for _ in range(8):
+        period = random_text(rng, 6, 3)
+        yield "".join(period * rng.randint(5, 60) + random_text(rng, 3, 3)
+                      for _ in range(6))[:700]
+
+
+def test_proxy_text_matches_reference():
+    rng = random.Random(83)
+    texts = [text for text, _ in text_corpus(32, 300, seed=83)]
+    texts += [*_window_texts(rng), *_tandem_texts(rng)]
+    for seed, text in enumerate(texts):
+        g = build(text, seed)
+        n = len(text)
+        for q in range(30):
+            x, x2, y, y2 = random_ipm_pair(rng, n)
+            if q % 3 == 0:  # Y touching 0 or n
+                y, y2 = (0, y2 - y) if q % 2 else (n - (y2 - y), n)
+            _same_as_reference(g, y, y2, proxy_pattern(g, x, x2))
+
+
+def _past_window(g, y, y2, pp):
+    """How many symbols T[m]'s proxy-level ancestor lies beyond the trim
+    window inside its level-(level+1) power, when that power starts after
+    y, so that the backward walk runs; 0 otherwise."""
+    t = g.table
+    m = y + (y2 - y) // 2
+    v = m_node = leaf(Navigator(g), m)
+    for k in range(1, pp.level + 2):
+        if v[2] is not None and t.level[v[2][1]] == k:
+            v = v[2]
+        if k == pp.level:
+            m_node = v
+    s = v[1]
+    if t.level[s] != pp.level + 1 or pp.level & 1 or v[0] <= y:
+        return 0
+    i = (m_node[0] - v[0]) // t.explen[t.arg0[s]]
+    return max(0, i - (pp.sym_len + pp.level - 1))
+
+
+def test_proxy_text_matches_reference_deep_in_a_power():
+    # Y starts just before a long power of a two-letter period and its
+    # middle lies deep inside it: the blocks the backward walk takes, and
+    # not only the outermost one, fall wholly outside the window
+    rng = random.Random(89)
+    deep = 0
+    for seed in range(40):
+        head = random_text(rng, 300, 4, 200)
+        period = "".join(rng.sample("abcd", 2))
+        text = head + period * rng.randint(100, 300) + random_text(rng, 50, 4)
+        g = build(text, seed)
+        for _ in range(40):
+            xl = rng.randint(20, 90)
+            x = rng.randint(0, len(head) - xl)
+            yl = rng.randint(xl, 2 * xl - 1)
+            y = rng.randint(len(head) - yl // 2, len(head))
+            pp = proxy_pattern(g, x, x + xl)
+            deep += _past_window(g, y, y + yl, pp) > 0
+            _same_as_reference(g, y, y + yl, pp)
+    assert deep >= 10
 
 
 def test_proxy_text_empty_fragment_rejected():

@@ -7,10 +7,10 @@ from rlslp.builder import level_string
 from rlslp.cli import load_index, save_index
 from rlslp.errors import OutOfRangeError
 from rlslp.grammar import PAIR, POWER, TERMINAL
-from rlslp.navigator import highest, leaf, step
+from rlslp.navigator import highest, leaf
 
 from helpers import (ahead, climb, first_child, jump, random_ipm_pair, ref_climb, ref_lce,
-                     ref_pseq, ref_step, text_corpus, up)
+                     ref_pseq, ref_step, step, text_corpus, up)
 
 
 def _children(nav, v):
