@@ -151,8 +151,9 @@ def build(text: str, seed: int = 0) -> Grammar:
 
     If the round count would exceed ``round_cap(len(text))``, the build
     restarts with seed+1 (chained); the returned grammar records the seed
-    actually used.  A round that leaves an empty string raises
-    ``InternalInvariantError``: only a faulty shrink can do that.
+    actually used.  A round that leaves an empty string, or a longer one
+    than it was given, raises ``InternalInvariantError``: only a faulty
+    shrink can do that.
     """
     if len(text) == 0:
         raise EmptyTextError("cannot build a grammar for the empty text")
@@ -164,12 +165,17 @@ def build(text: str, seed: int = 0) -> Grammar:
         ids = {ch: table.intern_terminal(ch) for ch in dict.fromkeys(text)}
         cur = LevelString(0, list(map(ids.__getitem__, text)))
         while len(cur.symbols) > 1 and cur.level < cap:
+            before = len(cur.symbols)
             if cur.level % 2 == 0:
                 cur = shrink_rle(cur, table)
             else:
                 cur = shrink_pc(cur, draw_partition(cur, use_seed), table)
-            if not cur.symbols:  # a shrink lost symbols: retrying would never end
+            # a faulty shrink: retrying would never end
+            if not cur.symbols:
                 raise InternalInvariantError(f"round {cur.level} left an empty string")
+            if len(cur.symbols) > before:
+                raise InternalInvariantError(f"round {cur.level} lengthened the string "
+                                             f"from {before} to {len(cur.symbols)} symbols")
         if len(cur.symbols) == 1:
             return Grammar(table=table, start=cur.symbols[0], rounds=cur.level,
                            seed=use_seed, text_len=n)
@@ -180,15 +186,9 @@ def level_string(g: Grammar, k: int) -> LevelString:
     """The level-``k`` string, ``g.table.below(g.start, k)``: the start symbol
     expanded down to the symbols of level at most ``k``.
 
-    Used by tests and the oracle; queries never materialize level strings.
+    Used by tests and perfbench; queries never materialize level strings.
     """
     if not (0 <= k <= g.rounds):
         raise BadLevelError(f"level {k} outside [0, {g.rounds}]")
     return LevelString(k, g.table.below(g.start, k))
 
-
-def partition_for_level(g: Grammar, k: int) -> set[int]:
-    """Replay the left symbols the builder drew for even round ``k``."""
-    if not (2 <= k <= g.rounds and k % 2 == 0):
-        raise BadLevelError(f"no partition at level {k}")
-    return draw_partition(level_string(g, k - 1), g.seed)

@@ -1,18 +1,19 @@
 """Brute-force reference implementations used by tests and the selftest command.
 
 These recompute query answers by direct definition on plain strings and on
-materialized level strings.  They share no logic with the query layer:
-only the grammar tables, the level-string reconstruction, and the replayed
-partitions are imported.  All oracles are quadratic or worse and refuse
-texts longer than 512 characters.
+materialized level strings.  They share no logic with the query layer or
+the builder: they read the grammar's table alone, the level strings as
+``below`` walks of the start symbol and each round's merge sets as the
+children of that round's symbols.  All oracles are quadratic or worse and
+refuse texts longer than 512 characters.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 
-from .builder import level_string, partition_for_level
 from .errors import InternalInvariantError, OutOfRangeError, UnknownSymbolError
 from .grammar import Grammar
 
@@ -87,81 +88,77 @@ class NaivePopped:
     proxy_level: int
 
 
-def _blocks(seq: list[int], k: int, left: set[int] | None) -> list[tuple[int, int]]:
-    """Block decomposition (index ranges) of a standalone symbol string with
-    respect to shrink round k: equal-adjacent runs on odd rounds, on even
-    rounds pairs of a symbol in ``left`` and one outside it."""
-    n = len(seq)
-    if n == 0:
-        return []
+def _blocks(seq: list[int], k: int, first: set[int], second: set[int]) -> list[tuple[int, int]]:
+    """Block decomposition (index ranges) of a symbol string with respect to
+    shrink round k: on odd rounds x x is inside a block iff x is in ``first``
+    (the bases of round k's powers), on even rounds x y iff x is in ``first``
+    and y in ``second`` (the left and the right children of its pairs)."""
     out = []
     start = 0
-    for i in range(n - 1):
-        if k % 2 == 1:
-            boundary = seq[i] != seq[i + 1]
-        else:
-            boundary = not (seq[i] in left and seq[i + 1] not in left)
-        if boundary:
+    for i in range(len(seq) - 1):
+        x, y = seq[i], seq[i + 1]
+        if not (x in first and (x == y if k & 1 else y in second)):
             out.append((start, i + 1))
             start = i + 1
-    out.append((start, n))
+    out.append((start, len(seq)))
     return out
 
 
 def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
-    """Simulate the popped-sequence definition on materialized level strings."""
+    """Simulate the popped-sequence definition on materialized level strings.
+
+    Round k's merge sets are read off the table: a run round's are the bases
+    of its powers, a pair round's the left and the right children of its
+    pairs.  Nothing else of how the grammar was built is used, so any
+    recompression grammar has this oracle.  On a builder grammar these are
+    the coin's blocks.  Every adjacency x y of a popped fragment at level k
+    is one of the level string T_k, and the builder merges every run and
+    every left-right adjacency of T_k.  So x x merges there iff x is a base
+    of a round-(k+1) power, and x y iff x is a left and y a right child of
+    round-(k+1) pairs: those children are coin-left and coin-right.
+    """
     _check_grammar_fragment(g, x, x2)
     t = g.table
     # (level parity, arg0, arg1) -> pair (0) or power (1); a loaded table has no intern dicts
-    ids = {(lv & 1, b, c): sid
-           for sid, (lv, b, c) in enumerate(zip(t.level, t.arg0, t.arg1)) if lv}
-    xbar = [level_string(g, 0).symbols[x:x2]]
+    ids = {}
+    # round -> its merge sets, as ``_blocks`` reads them
+    merges: defaultdict[int, tuple[set[int], set[int]]] = defaultdict(lambda: (set(), set()))
+    for sid, (lv, b, c) in enumerate(zip(t.level, t.arg0, t.arg1)):
+        if lv:
+            ids[lv & 1, b, c] = sid
+            first, second = merges[lv]
+            first.add(b)
+            if not lv & 1:
+                second.add(c)
+    xbar = [t.below(g.start, 0)[x:x2]]
     lefts: list[list[int]] = []
     rights: list[list[int]] = []
     k = 0
     while True:
         cur = xbar[k]
         shrink_round = k + 1
-        left_syms = None
-        if shrink_round % 2 == 0 and len(cur) > 1:
-            left_syms = partition_for_level(g, shrink_round)
-        blocks = _blocks(cur, shrink_round, left_syms)
+        blocks = _blocks(cur, shrink_round, *merges[shrink_round])
 
-        def two_distinct(block: tuple[int, int]) -> bool:
-            lo, hi = block
-            return len(set(cur[lo:hi])) >= 2
+        def popped(block: tuple[int, int]) -> list[int]:
+            lo, hi = block  # a boundary block is popped unless it has two distinct symbols
+            return cur[lo:hi] if len(set(cur[lo:hi])) == 1 else []
 
-        if two_distinct(blocks[0]):
-            left = []
-            lo = 0
-        else:
-            lo, hi = blocks[0]
-            left = cur[lo:hi]
-            lo = hi
-        if len(blocks) <= 1:
-            right = []
-            hi = len(cur)
-        elif two_distinct(blocks[-1]):
-            right = []
-            hi = len(cur)
-        else:
-            b_lo, hi_end = blocks[-1]
-            right = cur[b_lo:hi_end]
-            hi = b_lo
+        left = popped(blocks[0])
+        right = popped(blocks[-1]) if len(blocks) > 1 else []
         lefts.append(left)
         rights.append(right)
-
-        middle = cur[lo:hi]
+        # block boundaries are local: the middle's blocks are the inner blocks of cur's
+        inner = blocks[bool(left):len(blocks) - bool(right)]
         nxt: list[int] = []
-        for b_lo, b_hi in _blocks(middle, shrink_round, left_syms):
+        for b_lo, b_hi in inner:
             size = b_hi - b_lo
             if size == 1:
-                nxt.append(middle[b_lo])
+                nxt.append(cur[b_lo])
                 continue
             if shrink_round % 2 == 1:
-                key = (1, middle[b_lo], size)
+                key = (1, cur[b_lo], size)
             elif size == 2:
-                key = (0, middle[b_lo], middle[b_lo + 1])
+                key = (0, cur[b_lo], cur[b_lo + 1])
             else:
                 raise InternalInvariantError(f"pair block of {size} symbols")
             if key not in ids:
@@ -192,7 +189,7 @@ def naive_proxy_text(g: Grammar, y: int, y2: int, pp) -> tuple[tuple, int, int, 
     t = g.table
     level = pp.level
     # above the last round the level string is the start symbol alone
-    upper = level_string(g, min(level + 1, g.rounds)).symbols
+    upper = t.below(g.start, min(level + 1, g.rounds))
     starts = [0]
     for s in upper:
         starts.append(starts[-1] + t.explen[s])

@@ -296,11 +296,11 @@ def test_round_cap_respected():
         assert g.rounds <= round_cap(len(text))
 
 
-_LOSSY_SHRINK = """
+_FAULTY_SHRINK = """
 import rlslp.builder as builder
 from rlslp.errors import InternalInvariantError
 
-def shrink_rle(s, table):  # without its final flush: the last run is lost
+def shrink_rle(s, table):  # ends with FLUSHES copies of the final flush
     k = s.level + 1
     out = []
     it = iter(s.symbols)
@@ -311,22 +311,30 @@ def shrink_rle(s, table):  # without its final flush: the last run is lost
         else:
             out.append(table.intern_power(prev, e, k) if e > 1 else prev)
             prev, e = a, 1
+    for _ in range(FLUSHES):
+        out.append(table.intern_power(prev, e, k) if e > 1 else prev)
     return builder.LevelString(k, out)
 
 builder.shrink_rle = shrink_rle
 try:
-    builder.build("aaaa", 0)
+    builder.build(TEXT, 0)
 except InternalInvariantError as exc:
     print(exc)
 """
 
 
-def test_empty_round_raises_instead_of_retrying():
-    # a shrink that loses symbols empties the string of "aaaa" in round 1;
-    # build must raise there, not retry seeds forever.  The probe runs in
-    # its own process with a timeout, so a hang fails the test.
+@pytest.mark.parametrize("flushes, text, message", [
+    (0, "aaaa", "round 1 left an empty string"),
+    (2, "ab", "round 1 lengthened the string from 2 to 3 symbols"),
+], ids=["lost-run", "doubled-run"])
+def test_empty_round_raises_instead_of_retrying(flushes, text, message):
+    # a shrink that loses its last run empties the string of "aaaa" in round
+    # 1, and one that emits it twice lengthens "ab"; build must raise there,
+    # not retry seeds forever.  The probe runs in its own process with a
+    # timeout, so a hang fails the test.
     src = Path(rlslp.__file__).parent.parent
-    done = subprocess.run([sys.executable, "-c", _LOSSY_SHRINK], capture_output=True,
+    probe = _FAULTY_SHRINK.replace("FLUSHES", str(flushes)).replace("TEXT", repr(text))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout == "round 1 left an empty string\n"
+    assert done.stdout == message + "\n"
