@@ -13,6 +13,13 @@ left symbol until the next symbol decides it: a left one emits it alone, a
 right one merges with it, the end of the string emits it alone.  That is the
 left-to-right greedy scan, since a pair's right symbol is never left.
 
+Hash-consing is per round: each shrink keeps its round's productions in a
+dict of its own and makes a new one through ``table.add_power`` or
+``table.add_pair``, which check it.  A round merges every run and every
+left symbol followed by a right one, and a merge replaces only its children:
+children of a round-k production adjacent after round k were adjacent before
+it, and merged.  So no later round makes a production of round k again.
+
 The coin stream is a counter-based mix of (seed, round, first-occurrence
 rank of the symbol): the coin of rank r in round k is bit 0 of
 splitmix64(seed ^ splitmix64((k << 32) ^ r)), where splitmix64 is the
@@ -47,6 +54,14 @@ _MASK64 = (1 << 64) - 1
 # with the next chained seed.
 def round_cap(n: int) -> int:
     return 8 * math.ceil(math.log2(n + 1)) + 32
+
+
+# Seeds ``build`` tries before it raises.  A seed fails by chance only where
+# ``round_cap`` leaves little slack: "ab" fails if all 24 pair rounds under its
+# cap of 48 miss, each with probability 3/4, so with (3/4)^24 = 1.0e-3.  Over
+# 20,000 seeds, ten texts of 2-16 letters failed at 0.15% at most; 2000 random
+# texts and the benchmark's texts never did.  Eight in a row by chance: < 1e-21.
+SEED_TRIES = 8
 
 
 # Lanes per packed pass.  Drawing 70k coins took 18-20 ms in slices of 2048
@@ -109,6 +124,14 @@ def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
     k = s.level + 1
     if k % 2 == 0:
         raise BadLevelError(f"run compression after level {s.level}: needs an odd round")
+    powers: dict[tuple[int, int], int] = {}  # this round's (base, exponent) -> id
+
+    def power(b: int, m: int) -> int:
+        sid = powers.get((b, m))
+        if sid is None:
+            sid = powers[b, m] = table.add_power(b, m, k)
+        return sid
+
     out: list[int] = []
     it = iter(s.symbols)
     prev, e = next(it, None), 1
@@ -116,10 +139,10 @@ def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
         if a == prev:
             e += 1
         else:
-            out.append(table.intern_power(prev, e, k) if e > 1 else prev)
+            out.append(power(prev, e) if e > 1 else prev)
             prev, e = a, 1
     if prev is not None:
-        out.append(table.intern_power(prev, e, k) if e > 1 else prev)
+        out.append(power(prev, e) if e > 1 else prev)
     return LevelString(k, out)
 
 
@@ -129,6 +152,7 @@ def shrink_pc(s: LevelString, left: set[int], table: SymbolTable) -> LevelString
     k = s.level + 1
     if k % 2 == 1:
         raise BadLevelError(f"pair compression after level {s.level}: needs an even round")
+    pairs: dict[tuple[int, int], int] = {}  # this round's (left, right) -> id
     out: list[int] = []
     held = None
     for a in s.symbols:
@@ -137,7 +161,10 @@ def shrink_pc(s: LevelString, left: set[int], table: SymbolTable) -> LevelString
                 out.append(held)
             held = a
         elif held is not None:
-            out.append(table.intern_pair(held, a, k))
+            sid = pairs.get((held, a))
+            if sid is None:
+                sid = pairs[held, a] = table.add_pair(held, a, k)
+            out.append(sid)
             held = None
         else:
             out.append(a)
@@ -149,20 +176,19 @@ def shrink_pc(s: LevelString, left: set[int], table: SymbolTable) -> LevelString
 def build(text: str, seed: int = 0) -> Grammar:
     """Build the grammar of ``text``; deterministic for a fixed (text, seed).
 
-    If the round count would exceed ``round_cap(len(text))``, the build
-    restarts with seed+1 (chained); the returned grammar records the seed
-    actually used.  A round that leaves an empty string, or a longer one
-    than it was given, raises ``InternalInvariantError``: only a faulty
-    shrink can do that.
+    A build past ``round_cap(len(text))`` rounds restarts with seed+1
+    (chained), and the grammar records the seed used.  Only a faulty shrink
+    makes ``SEED_TRIES`` seeds fail, or a round empty or lengthen the string;
+    each raises ``InternalInvariantError``, naming the seeds or the round.
     """
     if len(text) == 0:
         raise EmptyTextError("cannot build a grammar for the empty text")
     n = len(text)
     cap = round_cap(n)
     use_seed = seed & _MASK64
-    while True:
+    for _ in range(SEED_TRIES):
         table = SymbolTable()
-        ids = {ch: table.intern_terminal(ch) for ch in dict.fromkeys(text)}
+        ids = {ch: table.add_terminal(ord(ch)) for ch in dict.fromkeys(text)}
         cur = LevelString(0, list(map(ids.__getitem__, text)))
         while len(cur.symbols) > 1 and cur.level < cap:
             before = len(cur.symbols)
@@ -170,7 +196,6 @@ def build(text: str, seed: int = 0) -> Grammar:
                 cur = shrink_rle(cur, table)
             else:
                 cur = shrink_pc(cur, draw_partition(cur, use_seed), table)
-            # a faulty shrink: retrying would never end
             if not cur.symbols:
                 raise InternalInvariantError(f"round {cur.level} left an empty string")
             if len(cur.symbols) > before:
@@ -180,6 +205,8 @@ def build(text: str, seed: int = 0) -> Grammar:
             return Grammar(table=table, start=cur.symbols[0], rounds=cur.level,
                            seed=use_seed, text_len=n)
         use_seed = (use_seed + 1) & _MASK64
+    raise InternalInvariantError(f"no seed of {seed & _MASK64} to {(use_seed - 1) & _MASK64} "
+                                 f"left one symbol within {cap} rounds")
 
 
 def level_string(g: Grammar, k: int) -> LevelString:

@@ -9,8 +9,8 @@ or levels disagree with its symbols, a version other than 2 or a payload
 of the wrong size included), an index that cannot be written or a stdout
 that cannot be written (one ``error: cannot write output`` line on stderr,
 any command), 3 for out-of-range positions or an IPM ratio violation, 4
-when a query fails an internal consistency check (a bug; the message names
-the check).
+when a query or a build fails an internal consistency check (a bug; one
+``internal error: ...`` line on stderr names the check).
 
 ``query`` takes one query as words, ``lce i i2``, ``revlce i i2`` or ``ipm x
 x2 y y2`` (``_ARITY``): the words are what argparse leaves of the command
@@ -64,9 +64,12 @@ def _cmd_build(args) -> int:
     text = _read_text(args)
     if not text:
         return _fail("input text is empty")
-    g = build(text, args.seed)
     try:
+        g = build(text, args.seed)
         save_index(g, args.output)
+    except InternalInvariantError as exc:  # a faulty build
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         return _fail(f"cannot write index: {exc}")
     print(f"built index: {len(g.table)} symbols, {g.rounds} rounds, "

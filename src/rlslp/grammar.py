@@ -3,10 +3,9 @@
 A symbol is a terminal character, a pair production ``BC`` with ``B != C``,
 or a power production ``B^m`` with ``m >= 2``.  Every symbol has a dense
 integer id and stores the length of its expansion and the compression round
-that created it.  ``add_*`` check a record and append it; ``intern_*`` put
-a lookup in front, so that structurally identical symbols share one id, and
-are for the builder.  Symbol ids are assigned in creation order, so a
-grammar built from a fixed (text, seed) always serializes the same way.
+that created it.  ``add_*`` check a record and append it; the table stores
+nothing else.  Symbol ids are assigned in creation order, so a grammar built
+from a fixed (text, seed) always serializes the same way.
 """
 
 from __future__ import annotations
@@ -39,22 +38,18 @@ class SymbolTable:
     perfbench, and no other module of the package reads it.  ``add_*`` check
     a record (the parity, earlier children, distinct pair children, an
     exponent of at least 2, a level above the children's, a codepoint in
-    range) and append it; ``intern_*`` also hash-cons through three dicts
-    and are for the builder.  ``from_columns`` makes a loaded table from
-    its columns, with the same checks in one pass, and leaves the dicts
-    empty.  After filling, the table is read-only by contract.
+    range) and append it.  ``from_columns`` makes a loaded table from its
+    columns, with the same checks in one pass.  After filling, the table is
+    read-only by contract.
     """
 
-    __slots__ = ("arg0", "arg1", "level", "explen", "_terminals", "_pairs", "_powers")
+    __slots__ = ("arg0", "arg1", "level", "explen")
 
     def __init__(self) -> None:
         self.arg0: list[int] = []
         self.arg1: list[int] = []
         self.level: list[int] = []
         self.explen: list[int] = []
-        self._terminals: dict[int, int] = {}
-        self._pairs: dict[tuple[int, int], int] = {}
-        self._powers: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.level)
@@ -183,32 +178,6 @@ class SymbolTable:
         self.arg1.append(m)
         lv.append(level)
         ex.append(m * ex[b])
-        return sid
-
-    def intern_terminal(self, ch: str) -> int:
-        """Intern the terminal of the 1-character string ``ch``."""
-        cp = ord(ch)
-        sid = self._terminals.get(cp)
-        if sid is None:
-            sid = self._terminals[cp] = self.add_terminal(cp)
-        return sid
-
-    def intern_pair(self, b: int, c: int, level: int) -> int:
-        """Intern the pair production ``bc`` created at compression round ``level``.
-
-        If the pair already exists, the original id is returned and the level
-        argument is ignored (the level is fixed at first creation).
-        """
-        sid = self._pairs.get((b, c))
-        if sid is None:
-            sid = self._pairs[(b, c)] = self.add_pair(b, c, level)
-        return sid
-
-    def intern_power(self, b: int, m: int, level: int) -> int:
-        """Intern the power production ``b^m`` created at round ``level``."""
-        sid = self._powers.get((b, m))
-        if sid is None:
-            sid = self._powers[(b, m)] = self.add_power(b, m, level)
         return sid
 
 

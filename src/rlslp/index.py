@@ -89,9 +89,7 @@ def _read_columns(payload: bytes, count: int, text_len: int):
 
 def load_index(path: str) -> Grammar:
     """Parse an index file.  Its columns become the table's columns, checked
-    and given their explen in one pass (``SymbolTable.from_columns``).  The
-    returned table keeps no intern dicts: queries read only the per-symbol
-    lists."""
+    and given their explen in one pass (``SymbolTable.from_columns``)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()

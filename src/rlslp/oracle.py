@@ -119,7 +119,7 @@ def naive_pseq_levels(g: Grammar, x: int, x2: int) -> NaivePopped:
     """
     _check_grammar_fragment(g, x, x2)
     t = g.table
-    # (level parity, arg0, arg1) -> pair (0) or power (1); a loaded table has no intern dicts
+    # (level parity, arg0, arg1) -> id of the pair (parity 0) or the power (1)
     ids = {}
     # round -> its merge sets, as ``_blocks`` reads them
     merges: defaultdict[int, tuple[set[int], set[int]]] = defaultdict(lambda: (set(), set()))

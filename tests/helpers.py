@@ -19,6 +19,12 @@ def random_text(rng: random.Random, max_len: int, sigma: int, min_len: int = 1) 
     return "".join(chr(ord("a") + rng.randrange(sigma)) for _ in range(length))
 
 
+def terminal_table(letters):
+    """A ``SymbolTable`` of one terminal per letter, and their ids."""
+    t = SymbolTable()
+    return t, [t.add_terminal(ord(ch)) for ch in letters]
+
+
 def text_corpus(count: int, max_len: int, seed: int = 0):
     """Yield (text, build_seed) pairs cycling through the alphabet sizes."""
     rng = random.Random(seed)
@@ -383,7 +389,17 @@ def ref_coin(seed: int, level: int, rank: int) -> bool:
 
 # Reference shrinks: the index-scanning loops that ``builder.shrink_rle`` and
 # ``builder.shrink_pc`` replaced.  On equal tables the one-pass shrinks must
-# return the same level string and intern the same symbols in the same order.
+# return the same level string and make the same symbols in the same order.
+# The references hash-cons table-wide, through a lookup of every production
+# in the table, where the builder keeps one dict per round: equal tables
+# also check that no round makes a production of an earlier round again.
+
+def _productions(table):
+    """(level parity, arg0, arg1) -> id of every pair (parity 0) and power (1)
+    of ``table``."""
+    return {(lv & 1, b, c): sid
+            for sid, (b, c, lv) in enumerate(zip(table.arg0, table.arg1, table.level)) if lv}
+
 
 def ref_shrink_rle(s, table):
     """``builder.shrink_rle`` as an index scan: a run is found by an inner
@@ -392,6 +408,7 @@ def ref_shrink_rle(s, table):
     if k % 2 == 0:
         raise BadLevelError(f"run compression after level {s.level}: needs an odd round")
     syms = s.symbols
+    ids = _productions(table)
     out = []
     i = 0
     n = len(syms)
@@ -400,7 +417,10 @@ def ref_shrink_rle(s, table):
         while j < n and syms[j] == syms[i]:
             j += 1
         if j - i >= 2:
-            out.append(table.intern_power(syms[i], j - i, k))
+            key = (1, syms[i], j - i)
+            if key not in ids:
+                ids[key] = table.add_power(syms[i], j - i, k)
+            out.append(ids[key])
         else:
             out.append(syms[i])
         i = j
@@ -414,13 +434,17 @@ def ref_shrink_pc(s, left, table):
     if k % 2 == 1:
         raise BadLevelError(f"pair compression after level {s.level}: needs an even round")
     syms = s.symbols
+    ids = _productions(table)
     out = []
     i = 0
     n = len(syms)
     while i < n:
         a = syms[i]
         if a in left and i + 1 < n and syms[i + 1] not in left:
-            out.append(table.intern_pair(a, syms[i + 1], k))
+            key = (0, a, syms[i + 1])
+            if key not in ids:
+                ids[key] = table.add_pair(a, syms[i + 1], k)
+            out.append(ids[key])
             i += 2
         else:
             out.append(a)

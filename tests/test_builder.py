@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import rlslp
 from rlslp.builder import (
     _SLICE,
+    SEED_TRIES,
     LevelString,
     _coins,
     build,
@@ -22,37 +23,38 @@ from rlslp.builder import (
 from rlslp.errors import BadLevelError, EmptyTextError
 from rlslp.grammar import POWER, TERMINAL, SymbolTable
 
-from helpers import ref_coin, ref_shrink_pc, ref_shrink_rle, text_corpus
+from helpers import ref_coin, ref_shrink_pc, ref_shrink_rle, terminal_table, text_corpus
 
 
-def _terminals(table, s):
-    return [table.intern_terminal(ch) for ch in s]
+def _records(t, first):
+    """The ``(arg0, arg1, level)`` records of ``t`` from id ``first`` on."""
+    return list(zip(t.arg0, t.arg1, t.level))[first:]
 
 
 def test_shrink_rle_groups_maximal_runs():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
+    t, (a, b) = terminal_table("ab")
     out = shrink_rle(LevelString(0, [a, a, a, b]), t)
-    assert out.symbols == [t.intern_power(a, 3, 1), b]
+    assert out.symbols == [2, b]
+    assert _records(t, 2) == [(a, 3, 1)]
 
 
 def test_shrink_rle_no_runs_unchanged():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
+    t, (a, b) = terminal_table("ab")
     out = shrink_rle(LevelString(0, [a, b, a]), t)
     assert out.symbols == [a, b, a]
+    assert len(t) == 2
 
 
 def test_shrink_rle_mixed():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    out = shrink_rle(LevelString(0, [a, a, b, b, b, a]), t)
-    assert out.symbols == [t.intern_power(a, 2, 1), t.intern_power(b, 3, 1), a]
+    # a run repeated in one round gets one id
+    t, (a, b) = terminal_table("ab")
+    out = shrink_rle(LevelString(0, [a, a, b, b, b, a, a, b]), t)
+    assert out.symbols == [2, 3, 2, b]
+    assert _records(t, 2) == [(a, 2, 1), (b, 3, 1)]
 
 
 def test_shrink_rounds_have_their_parity():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
+    t, (a, b) = terminal_table("ab")
     with pytest.raises(BadLevelError):
         shrink_rle(LevelString(1, [a, a, b]), t)
     with pytest.raises(BadLevelError):
@@ -61,40 +63,36 @@ def test_shrink_rounds_have_their_parity():
 
 
 def test_shrink_pc_single_pair():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    s = LevelString(1, [a, b])
-    out = shrink_pc(s, {a}, t)
-    assert out.symbols == [t.intern_pair(a, b, 2)]
+    t, (a, b) = terminal_table("ab")
+    out = shrink_pc(LevelString(1, [a, b]), {a}, t)
+    assert out.symbols == [2]
+    assert _records(t, 2) == [(a, b, 2)]
 
 
 def test_shrink_pc_wrong_orientation_unchanged():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
+    t, (a, b) = terminal_table("ab")
     out = shrink_pc(LevelString(1, [a, b]), {b}, t)
     assert out.symbols == [a, b]
+    assert len(t) == 2
 
 
 def test_shrink_pc_greedy_left_to_right():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
+    t, (a, b) = terminal_table("ab")
     out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a}, t)
-    ab = t.intern_pair(a, b, 2)
-    assert out.symbols == [ab, ab, a]
+    assert out.symbols == [2, 2, a]
+    assert _records(t, 2) == [(a, b, 2)]
 
 
 def test_shrinks_of_the_empty_string():
-    # an empty string one level up, with nothing read or interned
-    t = SymbolTable()
-    a = t.intern_terminal("a")
+    # an empty string one level up, with nothing read or made
+    t, (a,) = terminal_table("a")
     assert shrink_rle(LevelString(0, []), t) == LevelString(1, [])
     assert shrink_pc(LevelString(1, []), {a}, t) == LevelString(2, [])
     assert len(t) == 1
 
 
 def test_shrinks_pass_one_symbol_through():
-    t = SymbolTable()
-    a = t.intern_terminal("a")
+    t, (a,) = terminal_table("a")
     assert shrink_rle(LevelString(0, [a]), t) == LevelString(1, [a])
     for left in ({a}, set()):
         assert shrink_pc(LevelString(1, [a]), left, t) == LevelString(2, [a])
@@ -102,14 +100,11 @@ def test_shrinks_pass_one_symbol_through():
 
 
 def _table_state(t):
-    return t.arg0, t.arg1, t.level, t.explen, t._pairs, t._powers
+    return t.arg0, t.arg1, t.level, t.explen
 
 
 def _fresh_tables(letters):
-    tables = (SymbolTable(), SymbolTable())
-    for t in tables:
-        _terminals(t, letters)
-    return tables
+    return terminal_table(letters)[0], terminal_table(letters)[0]
 
 
 def _shrink_both(s, left, tables):
@@ -130,15 +125,16 @@ def test_shrinks_match_reference_on_builds():
     # every round of a build, replayed under its coins by both shrinks from
     # two fresh tables: the level strings, the symbols and their ids agree,
     # and the tables end as the built one (build runs last, so a broken
-    # shrink fails here rather than stalling build's seed retries)
+    # shrink fails here rather than in build's seed retries)
     for text, seed in text_corpus(48, 256, seed=23):
-        tables = _fresh_tables(dict.fromkeys(text))
-        s = LevelString(0, [tables[0].intern_terminal(ch) for ch in text])
+        letters = list(dict.fromkeys(text))
+        tables = _fresh_tables(letters)
+        s = LevelString(0, [letters.index(ch) for ch in text])
         while len(s.symbols) > 1 and s.level < round_cap(len(text)):
             s = _shrink_both(s, draw_partition(s, seed) if s.level % 2 else None, tables)
         g = build(text, seed)
         assert (g.seed, g.rounds, g.start) == (seed, s.level, s.symbols[0])
-        assert _table_state(tables[0])[:4] == _table_state(g.table)[:4]
+        assert _table_state(tables[0]) == _table_state(g.table)
 
 
 @pytest.mark.parametrize("word, left", [
@@ -161,16 +157,44 @@ def test_shrinks_match_reference_on_crafted_strings(word, left):
     _shrink_both(LevelString(1, syms), {ids[ch] for ch in left}, tables)
 
 
+def _shrink_build(text, left_of):
+    """The table of ``text`` built by ``shrink_rle`` and ``shrink_pc``, each
+    pair round taking ``left_of(s)`` as its left set, with no round cap."""
+    letters = list(dict.fromkeys(text))
+    t, _ = terminal_table(letters)
+    s = LevelString(0, [letters.index(ch) for ch in text])
+    while len(s.symbols) > 1:
+        s = shrink_pc(s, left_of(s), t) if s.level % 2 else shrink_rle(s, t)
+    return t
+
+
+def test_no_production_is_made_twice():
+    # a round merges every adjacency it can, so no later round makes one of
+    # its productions again and one dict per round hash-conses a whole
+    # build: from_columns, which rejects a production repeated under a new
+    # id as "duplicate symbol", loads every table, whatever the left sets
+    rng = random.Random(24)
+
+    def coin(s):
+        return {a for a in dict.fromkeys(s.symbols) if rng.random() < 0.5}
+
+    def rank_parity(s):
+        return set(list(dict.fromkeys(s.symbols))[0::2])
+
+    for text, seed in text_corpus(120, 256, seed=24):
+        for t in (build(text, seed).table, _shrink_build(text, coin),
+                  _shrink_build(text, rank_parity)):
+            SymbolTable.from_columns(t.arg0, t.arg1, t.level, len(text))
+
+
 def test_draw_partition_pinned_and_deterministic():
-    t = SymbolTable()
-    a, b, c = _terminals(t, "abc")
+    _, (a, b, c) = terminal_table("abc")
     s = LevelString(1, [a, b, c, a, b, c])
     assert draw_partition(s, 42) == draw_partition(s, 42) == {a, c}
 
 
 def test_draw_partition_single_symbol():
-    t = SymbolTable()
-    a = t.intern_terminal("a")
+    _, (a,) = terminal_table("a")
     assert draw_partition(LevelString(1, [a, a, a]), 7) == {a}
 
 
@@ -233,8 +257,7 @@ def test_level_parity():
         t = build(text, seed).table
         n = len(t)
         odd = (max(t.level) + 2) | 1  # above every level, so parity is the only fault
-        for add, args in ((t.add_pair, (0, n - 1, odd)), (t.intern_pair, (0, n - 1, odd)),
-                          (t.add_power, (0, 99, odd + 1)), (t.intern_power, (0, 99, odd + 1))):
+        for add, args in ((t.add_pair, (0, n - 1, odd)), (t.add_power, (0, 99, odd + 1))):
             with pytest.raises(BadLevelError):
                 add(*args)
             assert len(t) == n and len(t.arg0) == len(t.arg1) == len(t.explen) == n
@@ -309,13 +332,16 @@ def shrink_rle(s, table):  # ends with FLUSHES copies of the final flush
         if a == prev:
             e += 1
         else:
-            out.append(table.intern_power(prev, e, k) if e > 1 else prev)
+            out.append(table.add_power(prev, e, k) if e > 1 else prev)
             prev, e = a, 1
     for _ in range(FLUSHES):
-        out.append(table.intern_power(prev, e, k) if e > 1 else prev)
+        out.append(table.add_power(prev, e, k) if e > 1 else prev)
     return builder.LevelString(k, out)
 
-builder.shrink_rle = shrink_rle
+def shrink_pc(s, left, table):  # merges nothing
+    return builder.LevelString(s.level + 1, list(s.symbols))
+
+builder.SHRINK = SHRINK
 try:
     builder.build(TEXT, 0)
 except InternalInvariantError as exc:
@@ -323,17 +349,20 @@ except InternalInvariantError as exc:
 """
 
 
-@pytest.mark.parametrize("flushes, text, message", [
-    (0, "aaaa", "round 1 left an empty string"),
-    (2, "ab", "round 1 lengthened the string from 2 to 3 symbols"),
-], ids=["lost-run", "doubled-run"])
-def test_empty_round_raises_instead_of_retrying(flushes, text, message):
+@pytest.mark.parametrize("shrink, flushes, text, message", [
+    ("shrink_rle", 0, "aaaa", "round 1 left an empty string"),
+    ("shrink_rle", 2, "ab", "round 1 lengthened the string from 2 to 3 symbols"),
+    ("shrink_pc", 1, "ab", f"no seed of 0 to {SEED_TRIES - 1} left one symbol within 48 rounds"),
+], ids=["lost-run", "doubled-run", "no-progress"])
+def test_empty_round_raises_instead_of_retrying(shrink, flushes, text, message):
     # a shrink that loses its last run empties the string of "aaaa" in round
-    # 1, and one that emits it twice lengthens "ab"; build must raise there,
-    # not retry seeds forever.  The probe runs in its own process with a
-    # timeout, so a hang fails the test.
+    # 1, one that emits it twice lengthens "ab", and a pair shrink that
+    # merges nothing keeps "ab" two symbols long under every seed; build must
+    # raise, not retry seeds forever.  The probe runs in its own process with
+    # a timeout, so a hang fails the test.
     src = Path(rlslp.__file__).parent.parent
-    probe = _FAULTY_SHRINK.replace("FLUSHES", str(flushes)).replace("TEXT", repr(text))
+    probe = (_FAULTY_SHRINK.replace("SHRINK", shrink).replace("FLUSHES", str(flushes))
+             .replace("TEXT", repr(text)))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})

@@ -13,7 +13,7 @@ import pytest
 
 import rlslp
 from rlslp import lce, rev_lce
-from rlslp.builder import _SLICE, build, level_string
+from rlslp.builder import _SLICE, LevelString, build, level_string
 from rlslp.cli import load_index, main, save_index
 from rlslp.errors import IndexFormatError, InternalInvariantError
 from rlslp.grammar import Grammar, SymbolTable
@@ -217,6 +217,18 @@ def test_query_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("rlslp.cli.ipm_query", broken)
     assert main(["query", "--index", str(path), "ipm", "0", "2", "0", "3"]) == 4
     assert "proxy window not contiguous" in capsys.readouterr().err
+
+
+def test_build_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    # a pair shrink that merges nothing fails every seed: one stderr line,
+    # no traceback, no index
+    monkeypatch.setattr("rlslp.builder.shrink_pc",
+                        lambda s, left, table: LevelString(s.level + 1, s.symbols))
+    path = tmp_path / "never.idx"
+    assert main(["build", "--text", "ab", "--output", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: no seed of 0 to 7 left one symbol within 48 rounds\n"
+    assert not path.exists()
 
 
 def test_stats(tmp_path, capsys):
@@ -551,7 +563,7 @@ def test_loaded_table_is_lean(tmp_path):
     t = loaded.table
     assert len(t) == len(g.table)
     assert held <= 110 * len(t), f"{held / len(t):.1f} bytes per symbol"
-    assert not t._terminals and not t._pairs and not t._powers
+    assert SymbolTable.__slots__ == ("arg0", "arg1", "level", "explen")
     # the query loops index these columns; a list reads faster than an array
     for name in ("arg0", "arg1", "level", "explen"):
         col = getattr(t, name)

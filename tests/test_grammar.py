@@ -1,88 +1,80 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlslp.builder import build
+from rlslp.builder import LevelString, build, shrink_pc
 from rlslp.errors import (
     BadExponentError,
     BadLevelError,
     EqualChildrenError,
     UnknownSymbolError,
 )
-from rlslp.grammar import PAIR, POWER, TERMINAL, SymbolTable
+from rlslp.grammar import PAIR, POWER, TERMINAL
 
-from helpers import text_corpus
+from helpers import terminal_table, text_corpus
 
 
 def test_terminal_interning_idempotent():
-    t = SymbolTable()
-    assert t.intern_terminal("a") == t.intern_terminal("a")
-    assert t.intern_terminal("a") != t.intern_terminal("b")
+    # build makes one terminal per distinct character, in first-occurrence order
+    t = build("abracadabra", 0).table
+    assert [t.arg0[s] for s in range(len(t)) if t.level[s] == 0] == [ord(ch) for ch in "abrcd"]
 
 
 def test_terminal_record():
-    t = SymbolTable()
-    a = t.intern_terminal("a")
+    t, (a,) = terminal_table("a")
     assert t.explen[a] == 1
     assert t.level[a] == 0
     assert t.kind[a] == TERMINAL
 
 
 def test_pair_explen_is_sum():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    p = t.intern_pair(a, b, 2)
+    t, (a, b) = terminal_table("ab")
+    p = t.add_pair(a, b, 2)
     assert t.explen[p] == 2
     assert t.kind[p] == PAIR
 
 
 def test_pair_requires_distinct_children():
-    t = SymbolTable()
-    a = t.intern_terminal("a")
+    t, (a,) = terminal_table("a")
     with pytest.raises(EqualChildrenError):
-        t.intern_pair(a, a, 2)
+        t.add_pair(a, a, 2)
 
 
 def test_pair_interning_idempotent_and_level_fixed():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    p = t.intern_pair(a, b, 2)
-    assert t.intern_pair(a, b, 2) == p
-    # re-interning at a different level returns the original record
-    assert t.intern_pair(a, b, 6) == p
-    assert t.level[p] == 2
+    # one pair round makes one id per pair, at the round's level
+    t, (a, b) = terminal_table("ab")
+    out = shrink_pc(LevelString(5, [a, b, a, b]), {a}, t)
+    assert out.symbols == [2, 2]
+    assert (t.arg0, t.arg1, t.level) == ([97, 98, a], [0, 0, b], [0, 0, 6])
 
 
 def test_pair_level_must_exceed_children():
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
+    t, (a, b) = terminal_table("ab")
     with pytest.raises(BadLevelError):
-        t.intern_pair(a, b, 0)
+        t.add_pair(a, b, 0)
 
 
 def test_power_explen_and_errors():
-    t = SymbolTable()
-    a = t.intern_terminal("a")
-    p = t.intern_power(a, 3, 1)
+    t, (a,) = terminal_table("a")
+    p = t.add_power(a, 3, 1)
     assert t.explen[p] == 3
     assert t.kind[p] == POWER
     with pytest.raises(BadExponentError):
-        t.intern_power(a, 1, 1)
-    assert t.intern_power(a, 2, 1) == t.intern_power(a, 2, 1)
+        t.add_power(a, 1, 1)
     with pytest.raises(BadLevelError):
-        t.intern_power(a, 4, 0)
+        t.add_power(a, 4, 0)
+    assert len(t) == 2
 
 
 def test_expand_base_cases():
     g = build("a", 0)
     assert g.expand(g.start) == "a"
-    t = SymbolTable()
-    a, b = t.intern_terminal("a"), t.intern_terminal("b")
-    p3 = t.intern_power(a, 3, 1)
+    t, (a, b) = terminal_table("ab")
+    p3 = t.add_power(a, 3, 1)
     from rlslp.grammar import Grammar
     g2 = Grammar(table=t, start=p3, rounds=1, seed=0, text_len=3)
     assert g2.expand(p3) == "aaa"
-    p2 = t.intern_power(a, 2, 1)
-    pair = t.intern_pair(p2, b, 2)
+    p2 = t.add_power(a, 2, 1)
+    pair = t.add_pair(p2, b, 2)
     g3 = Grammar(table=t, start=pair, rounds=2, seed=0, text_len=3)
     assert g3.expand(pair) == "aab"
 

@@ -76,7 +76,8 @@ def _parity_build(text, seed):
     first two symbols of a run-free string have ranks 0 and 1 and merge, so
     every pair round shortens the string."""
     table = SymbolTable()
-    cur = LevelString(0, [table.intern_terminal(ch) for ch in text])
+    ids = {ch: table.add_terminal(ord(ch)) for ch in dict.fromkeys(text)}
+    cur = LevelString(0, [ids[ch] for ch in text])
     differ = 0
     while len(cur.symbols) > 1:
         if cur.level % 2 == 0:
