@@ -13,12 +13,16 @@ left symbol until the next symbol decides it: a left one emits it alone, a
 right one merges with it, the end of the string emits it alone.  That is the
 left-to-right greedy scan, since a pair's right symbol is never left.
 
-Hash-consing is per round: each shrink keeps its round's productions in a
-dict of its own and makes a new one through ``table.add_power`` or
-``table.add_pair``, which check it.  A round merges every run and every
-left symbol followed by a right one, and a merge replaces only its children:
-children of a round-k production adjacent after round k were adjacent before
-it, and merged.  So no later round makes a production of round k again.
+A build appends its records to three plain lists, the ``arg0``, ``arg1``
+and ``level`` columns, and ends with ``SymbolTable.from_columns``: a built
+grammar passes the check a loaded index passes, and a faulty record raises
+``InternalInvariantError`` with the loader's message.  Hash-consing is per
+round: each shrink keeps its round's productions in a dict of its own and
+appends only a new one.  A round merges every run and every left symbol
+followed by a right one, and a merge replaces only its children: children
+of a round-k production adjacent after round k were adjacent before it, and
+merged.  So no later round makes a production of round k again, and
+``from_columns``'s duplicate check confirms it on every build.
 
 The coin stream is a counter-based mix of (seed, round, first-occurrence
 rank of the symbol): the coin of rank r in round k is bit 0 of
@@ -44,7 +48,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import BadLevelError, EmptyTextError, InternalInvariantError
+from .errors import BadLevelError, EmptyTextError, IndexFormatError, InternalInvariantError
 from .grammar import Grammar, SymbolTable
 
 _MASK64 = (1 << 64) - 1
@@ -119,17 +123,29 @@ def draw_partition(s: LevelString, seed: int) -> set[int]:
     return set(compress(distinct, _coins(seed, s.level + 1, len(distinct))))
 
 
-def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
-    """Collapse maximal runs of equal adjacent symbols into powers, one level up."""
+def _append(productions: dict[tuple[int, int], int], k: int, arg0: list[int], arg1: list[int],
+            level: list[int]) -> None:
+    """Append the records of round ``k``'s productions, the keys of
+    ``productions`` in the order their ids were given, to the columns."""
+    arg0.extend([b for b, _ in productions])
+    arg1.extend([c for _, c in productions])
+    level.extend([k] * len(productions))
+
+
+def shrink_rle(s: LevelString, arg0: list[int], arg1: list[int],
+               level: list[int]) -> LevelString:
+    """Collapse maximal runs of equal adjacent symbols into powers, one level
+    up, appending each new power's record to the columns."""
     k = s.level + 1
     if k % 2 == 0:
         raise BadLevelError(f"run compression after level {s.level}: needs an odd round")
+    first = len(level)
     powers: dict[tuple[int, int], int] = {}  # this round's (base, exponent) -> id
 
     def power(b: int, m: int) -> int:
         sid = powers.get((b, m))
         if sid is None:
-            sid = powers[b, m] = table.add_power(b, m, k)
+            sid = powers[b, m] = first + len(powers)
         return sid
 
     out: list[int] = []
@@ -143,15 +159,19 @@ def shrink_rle(s: LevelString, table: SymbolTable) -> LevelString:
             prev, e = a, 1
     if prev is not None:
         out.append(power(prev, e) if e > 1 else prev)
+    _append(powers, k, arg0, arg1, level)
     return LevelString(k, out)
 
 
-def shrink_pc(s: LevelString, left: set[int], table: SymbolTable) -> LevelString:
+def shrink_pc(s: LevelString, left: set[int], arg0: list[int], arg1: list[int],
+              level: list[int]) -> LevelString:
     """Merge every symbol in ``left`` followed by one outside it into a pair,
-    one level up, holding the last left symbol as the module docstring says."""
+    one level up, holding the last left symbol as the module docstring says
+    and appending each new pair's record to the columns."""
     k = s.level + 1
     if k % 2 == 1:
         raise BadLevelError(f"pair compression after level {s.level}: needs an even round")
+    first = len(level)
     pairs: dict[tuple[int, int], int] = {}  # this round's (left, right) -> id
     out: list[int] = []
     held = None
@@ -163,13 +183,14 @@ def shrink_pc(s: LevelString, left: set[int], table: SymbolTable) -> LevelString
         elif held is not None:
             sid = pairs.get((held, a))
             if sid is None:
-                sid = pairs[held, a] = table.add_pair(held, a, k)
+                sid = pairs[held, a] = first + len(pairs)
             out.append(sid)
             held = None
         else:
             out.append(a)
     if held is not None:
         out.append(held)
+    _append(pairs, k, arg0, arg1, level)
     return LevelString(k, out)
 
 
@@ -177,31 +198,40 @@ def build(text: str, seed: int = 0) -> Grammar:
     """Build the grammar of ``text``; deterministic for a fixed (text, seed).
 
     A build past ``round_cap(len(text))`` rounds restarts with seed+1
-    (chained), and the grammar records the seed used.  Only a faulty shrink
-    makes ``SEED_TRIES`` seeds fail, or a round empty or lengthen the string;
-    each raises ``InternalInvariantError``, naming the seeds or the round.
+    (chained), and the grammar records the seed used.  Its table is
+    ``SymbolTable.from_columns`` of the records the rounds appended.  Only a
+    faulty shrink makes ``SEED_TRIES`` seeds fail, a round empty or lengthen
+    the string, or a record fail ``from_columns``'s check; each raises
+    ``InternalInvariantError``, naming the seeds, the round or the symbol.
     """
     if len(text) == 0:
         raise EmptyTextError("cannot build a grammar for the empty text")
     n = len(text)
     cap = round_cap(n)
     use_seed = seed & _MASK64
+    letters = dict.fromkeys(text)  # one terminal per letter, in first-occurrence order
+    ids = dict(zip(letters, range(len(letters))))
     for _ in range(SEED_TRIES):
-        table = SymbolTable()
-        ids = {ch: table.add_terminal(ord(ch)) for ch in dict.fromkeys(text)}
+        arg0 = list(map(ord, letters))
+        arg1 = [0] * len(letters)
+        level = [0] * len(letters)
         cur = LevelString(0, list(map(ids.__getitem__, text)))
         while len(cur.symbols) > 1 and cur.level < cap:
             before = len(cur.symbols)
             if cur.level % 2 == 0:
-                cur = shrink_rle(cur, table)
+                cur = shrink_rle(cur, arg0, arg1, level)
             else:
-                cur = shrink_pc(cur, draw_partition(cur, use_seed), table)
+                cur = shrink_pc(cur, draw_partition(cur, use_seed), arg0, arg1, level)
             if not cur.symbols:
                 raise InternalInvariantError(f"round {cur.level} left an empty string")
             if len(cur.symbols) > before:
                 raise InternalInvariantError(f"round {cur.level} lengthened the string "
                                              f"from {before} to {len(cur.symbols)} symbols")
         if len(cur.symbols) == 1:
+            try:
+                table = SymbolTable.from_columns(arg0, arg1, level, n)
+            except IndexFormatError as exc:
+                raise InternalInvariantError(str(exc)) from exc
             return Grammar(table=table, start=cur.symbols[0], rounds=cur.level,
                            seed=use_seed, text_len=n)
         use_seed = (use_seed + 1) & _MASK64

@@ -5,16 +5,9 @@ class RlslpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EqualChildrenError(RlslpError):
-    """Pair production with identical left and right children."""
-
-
 class BadLevelError(RlslpError):
-    """Symbol level outside the range permitted by its arguments."""
-
-
-class BadExponentError(RlslpError):
-    """Power production with exponent below 2."""
+    """A level the operation does not permit: a shrink round of the wrong
+    parity, or a level string outside the grammar's rounds."""
 
 
 class UnknownSymbolError(RlslpError):

@@ -3,24 +3,17 @@
 A symbol is a terminal character, a pair production ``BC`` with ``B != C``,
 or a power production ``B^m`` with ``m >= 2``.  Every symbol has a dense
 integer id and stores the length of its expansion and the compression round
-that created it.  ``add_*`` check a record and append it; the table stores
-nothing else.  Symbol ids are assigned in creation order, so a grammar built
-from a fixed (text, seed) always serializes the same way.
+that created it.  ``SymbolTable.from_columns`` is the one way to make a
+table: it checks the records of a built and of a loaded grammar alike, and
+the table stores nothing else.  Symbol ids are assigned in creation order,
+so a grammar built from a fixed (text, seed) always serializes the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadExponentError,
-    BadLevelError,
-    EqualChildrenError,
-    IndexFormatError,
-    OutOfRangeError,
-    RlslpError,
-    UnknownSymbolError,
-)
+from .errors import IndexFormatError, UnknownSymbolError
 
 TERMINAL = 0
 PAIR = 1
@@ -28,28 +21,19 @@ POWER = 2
 
 
 class SymbolTable:
-    """Append-only store of symbols.
+    """Read-only store of symbols.
 
     Four parallel lists, cheap to read in query hot loops: ``arg0``
     (codepoint / left child / base), ``arg1`` (right child / exponent, 0 for
     a terminal), ``level`` (the round that made the symbol) and ``explen``.
     A symbol's kind is its level's parity: 0 a terminal, odd a power, even
     above 0 a pair; ``kind`` derives that list in O(n) for tests and
-    perfbench, and no other module of the package reads it.  ``add_*`` check
-    a record (the parity, earlier children, distinct pair children, an
-    exponent of at least 2, a level above the children's, a codepoint in
-    range) and append it.  ``from_columns`` makes a loaded table from its
-    columns, with the same checks in one pass.  After filling, the table is
-    read-only by contract.
+    perfbench, and no other module of the package reads it.  A table is made
+    only by ``from_columns``, from the columns the builder appends to or an
+    index file holds, so every table the package holds has passed its checks.
     """
 
     __slots__ = ("arg0", "arg1", "level", "explen")
-
-    def __init__(self) -> None:
-        self.arg0: list[int] = []
-        self.arg1: list[int] = []
-        self.level: list[int] = []
-        self.explen: list[int] = []
 
     def __len__(self) -> int:
         return len(self.level)
@@ -60,9 +44,11 @@ class SymbolTable:
         """The table whose ``arg0``, ``arg1`` and ``level`` columns are the
         given lists of one length, kept as they are.  A record's kind is its
         level's parity and a terminal's ``arg1`` is 0.  One pass over the ids
-        checks each record as ``add_*`` would, computes its explen and bounds
-        it by ``text_len``; then one set rejects a production repeated under
-        a new id.  Raises ``IndexFormatError`` naming the lowest faulty id."""
+        checks each record (children made before it, distinct pair children,
+        an exponent of at least 2, a level above its children's, a codepoint
+        in range), computes its explen and bounds it by ``text_len``; then one
+        set rejects a production repeated under a new id.  Raises
+        ``IndexFormatError`` naming the lowest faulty id."""
         count = len(level)
         explen = [0] * count
         # One int key per production, the level left out; the kinds' ranges
@@ -97,7 +83,7 @@ class SymbolTable:
         if sid < count or len(set(keys)) != count:
             _reject_duplicate(keys, sid)
             _reject_record(level, explen, sid, arg0[sid], arg1[sid], text_len)
-        table = cls()
+        table = cls.__new__(cls)
         table.arg0, table.arg1, table.level, table.explen = arg0, arg1, level, explen
         return table
 
@@ -129,57 +115,6 @@ class SymbolTable:
                 stack.append(arg0[s])
         return out
 
-    def add_terminal(self, cp: int) -> int:
-        """Check and append the terminal with codepoint ``cp``."""
-        if not 0 <= cp < 0x110000:
-            raise OutOfRangeError(f"codepoint {cp} outside [0, 0x110000)")
-        sid = len(self.level)
-        self.arg0.append(cp)
-        self.arg1.append(0)
-        self.level.append(0)
-        self.explen.append(1)
-        return sid
-
-    def add_pair(self, b: int, c: int, level: int) -> int:
-        """Check and append the pair production ``bc`` of compression round ``level``."""
-        lv = self.level
-        sid = len(lv)
-        if level & 1:
-            raise BadLevelError(f"pair on odd level {level}")
-        if not (0 <= b < sid and 0 <= c < sid):
-            self.check(b)
-            self.check(c)
-        if b == c:
-            raise EqualChildrenError(f"pair children must differ, got {b} twice")
-        if level <= lv[b] or level <= lv[c]:
-            raise BadLevelError(
-                f"pair level {level} not above children levels {lv[b]}, {lv[c]}")
-        ex = self.explen
-        self.arg0.append(b)
-        self.arg1.append(c)
-        lv.append(level)
-        ex.append(ex[b] + ex[c])
-        return sid
-
-    def add_power(self, b: int, m: int, level: int) -> int:
-        """Check and append the power production ``b^m`` of round ``level``."""
-        lv = self.level
-        sid = len(lv)
-        if not level & 1:
-            raise BadLevelError(f"power on even level {level}")
-        if not 0 <= b < sid:
-            self.check(b)
-        if m < 2:
-            raise BadExponentError(f"power exponent must be >= 2, got {m}")
-        if level <= lv[b]:
-            raise BadLevelError(f"power level {level} not above base level {lv[b]}")
-        ex = self.explen
-        self.arg0.append(b)
-        self.arg1.append(m)
-        lv.append(level)
-        ex.append(m * ex[b])
-        return sid
-
 
 def _reject_duplicate(keys: list[int], upto: int) -> None:
     """Raise ``duplicate symbol <id>`` at the first id below ``upto`` whose
@@ -194,24 +129,32 @@ def _reject_duplicate(keys: list[int], upto: int) -> None:
 def _reject_record(level: list[int], explen: list[int], sid: int, b: int, c: int,
                    text_len: int) -> None:
     """Raise the error of record ``sid``, ``(b, c, level[sid])``, which
-    ``from_columns`` found faulty: ``add_*``'s message, replayed on a table of
-    the symbols before it, or its expansion length above ``text_len``."""
+    ``from_columns`` found faulty: the first rule it breaks, in the order
+    ``from_columns`` checks them, or its expansion length above ``text_len``."""
     lv = level[sid]
-    if not lv and c:
-        raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
-    probe = SymbolTable()
-    probe.level, probe.explen = level[:sid], explen[:sid]
-    try:
-        if lv & 1:
-            probe.add_power(b, c, lv)
-        elif lv:
-            probe.add_pair(b, c, lv)
+    if not lv:  # a terminal
+        if c:
+            raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
+        fault = (f"codepoint {b} outside [0, 0x110000)" if not 0 <= b < 0x110000
+                 else f"expansion length 1 exceeds text_len {text_len}")
+    elif not 0 <= b < sid:
+        fault = f"symbol id {b} not in table"
+    elif lv & 1:  # a power
+        if c < 2:
+            fault = f"power exponent must be >= 2, got {c}"
+        elif lv <= level[b]:
+            fault = f"power level {lv} not above base level {level[b]}"
         else:
-            probe.add_terminal(b)
-    except RlslpError as exc:
-        raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
-    raise IndexFormatError(f"invalid symbol {sid}: expansion length {probe.explen[sid]} "
-                           f"exceeds text_len {text_len}")
+            fault = f"expansion length {c * explen[b]} exceeds text_len {text_len}"
+    elif not 0 <= c < sid:
+        fault = f"symbol id {c} not in table"
+    elif b == c:
+        fault = f"pair children must differ, got {b} twice"
+    elif lv <= level[b] or lv <= level[c]:
+        fault = f"pair level {lv} not above children levels {level[b]}, {level[c]}"
+    else:
+        fault = f"expansion length {explen[b] + explen[c]} exceeds text_len {text_len}"
+    raise IndexFormatError(f"invalid symbol {sid}: {fault}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ text_len=.. symbols=.. start=..``, then the ``arg0``, ``arg1`` and ``level``
 columns in little-endian binary (``save_index``); a symbol's kind is its
 level's parity.  ``load_index`` reads this one format and rejects any other
 version.  The columns it reads become the loaded table's columns, checked
-in one pass that also bounds every expansion by ``text_len``.  A build is
-byte-reproducible for a fixed (text, seed).
+by ``SymbolTable.from_columns`` in one pass that also bounds every
+expansion by ``text_len``: the check every built grammar passes too.  A
+build is byte-reproducible for a fixed (text, seed).
 """
 
 from __future__ import annotations

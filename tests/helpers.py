@@ -6,8 +6,8 @@ import random
 
 from rlslp.builder import LevelString
 from rlslp.errors import (BadLevelError, EmptyFragmentError, IndexFormatError,
-                          InternalInvariantError, OutOfRangeError, RlslpError)
-from rlslp.grammar import SymbolTable
+                          InternalInvariantError, OutOfRangeError)
+from rlslp.grammar import PAIR, POWER, TERMINAL, SymbolTable
 from rlslp.ipm import ProxyText
 from rlslp.navigator import highest, leaf
 
@@ -19,10 +19,11 @@ def random_text(rng: random.Random, max_len: int, sigma: int, min_len: int = 1) 
     return "".join(chr(ord("a") + rng.randrange(sigma)) for _ in range(length))
 
 
-def terminal_table(letters):
-    """A ``SymbolTable`` of one terminal per letter, and their ids."""
-    t = SymbolTable()
-    return t, [t.add_terminal(ord(ch)) for ch in letters]
+def terminal_columns(letters):
+    """The ``(arg0, arg1, level)`` columns of one terminal per letter, and
+    their ids."""
+    n = len(letters)
+    return ([ord(ch) for ch in letters], [0] * n, [0] * n), list(range(n))
 
 
 def text_corpus(count: int, max_len: int, seed: int = 0):
@@ -337,35 +338,47 @@ def ref_proxy_text(g, y, y2, pp, nav):
 
 
 def ref_from_columns(arg0, arg1, level, text_len):
-    """``SymbolTable.from_columns`` as a per-record loop: each record is
-    checked and appended by ``SymbolTable.add_*``, its expansion length is
-    then bounded by ``text_len``, and one dict rejects a production repeated
-    under a new id.  The first fault in id order is raised."""
-    count = len(level)
-    table = SymbolTable()
-    seen = {}
-    try:
-        for sid, (b, c, lv) in enumerate(zip(arg0, arg1, level)):
-            if lv & 1:
-                table.add_power(b, c, lv)
-                key = -1 - (c * count + b)
-            elif lv:
-                table.add_pair(b, c, lv)
-                key = 0x110000 + b * count + c
-            elif c:
-                raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
-            else:
-                table.add_terminal(b)
-                key = b
-            if table.explen[sid] > text_len:
-                raise OutOfRangeError(
-                    f"expansion length {table.explen[sid]} exceeds text_len {text_len}")
-            if seen.setdefault(key, sid) != sid:
-                raise IndexFormatError(f"duplicate symbol {sid}")
-    except IndexFormatError:
-        raise
-    except RlslpError as exc:
-        raise IndexFormatError(f"invalid symbol {sid}: {exc}") from None
+    """``SymbolTable.from_columns`` as a per-record loop over the record
+    rules, stated by kind: a terminal has ``arg1`` 0 and a codepoint in
+    range; a power's one child and a pair's two are made before it, a power's
+    exponent is at least 2, a pair's children differ, and a level lies above
+    its children's; an expansion is at most ``text_len`` long; and one set
+    rejects a production repeated under a new id.  The first fault in id
+    order is raised."""
+    explen = []
+    seen = set()
+    for sid, (b, c, lv) in enumerate(zip(arg0, arg1, level)):
+        kind = POWER if lv & 1 else PAIR if lv else TERMINAL
+        children = {TERMINAL: [], POWER: [b], PAIR: [b, c]}[kind]
+        unknown = [x for x in children if not 0 <= x < sid]
+        fault = None
+        if kind == TERMINAL and c:
+            raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
+        if kind == TERMINAL and not 0 <= b < 0x110000:
+            fault = f"codepoint {b} outside [0, 0x110000)"
+        elif unknown:
+            fault = f"symbol id {unknown[0]} not in table"
+        elif kind == POWER and c < 2:
+            fault = f"power exponent must be >= 2, got {c}"
+        elif kind == PAIR and b == c:
+            fault = f"pair children must differ, got {b} twice"
+        elif kind == POWER and lv <= level[b]:
+            fault = f"power level {lv} not above base level {level[b]}"
+        elif kind == PAIR and (lv <= level[b] or lv <= level[c]):
+            fault = f"pair level {lv} not above children levels {level[b]}, {level[c]}"
+        else:
+            e = (1 if kind == TERMINAL else c * explen[b] if kind == POWER
+                 else explen[b] + explen[c])
+            if e > text_len:
+                fault = f"expansion length {e} exceeds text_len {text_len}"
+        if fault is not None:
+            raise IndexFormatError(f"invalid symbol {sid}: {fault}")
+        if (kind, b, c) in seen:
+            raise IndexFormatError(f"duplicate symbol {sid}")
+        seen.add((kind, b, c))
+        explen.append(e)
+    table = SymbolTable.__new__(SymbolTable)
+    table.arg0, table.arg1, table.level, table.explen = arg0, arg1, level, explen
     return table
 
 
@@ -388,27 +401,37 @@ def ref_coin(seed: int, level: int, rank: int) -> bool:
 
 
 # Reference shrinks: the index-scanning loops that ``builder.shrink_rle`` and
-# ``builder.shrink_pc`` replaced.  On equal tables the one-pass shrinks must
-# return the same level string and make the same symbols in the same order.
-# The references hash-cons table-wide, through a lookup of every production
-# in the table, where the builder keeps one dict per round: equal tables
-# also check that no round makes a production of an earlier round again.
+# ``builder.shrink_pc`` replaced.  On equal columns the one-pass shrinks must
+# return the same level string and append the same records in the same
+# order.  The references hash-cons build-wide, through a lookup of every
+# production in the columns, where the builder keeps one dict per round:
+# equal columns also check that no round makes a production of an earlier
+# round again.
 
-def _productions(table):
+def _productions(arg0, arg1, level):
     """(level parity, arg0, arg1) -> id of every pair (parity 0) and power (1)
-    of ``table``."""
-    return {(lv & 1, b, c): sid
-            for sid, (b, c, lv) in enumerate(zip(table.arg0, table.arg1, table.level)) if lv}
+    in the columns."""
+    return {(lv & 1, b, c): sid for sid, (b, c, lv) in enumerate(zip(arg0, arg1, level)) if lv}
 
 
-def ref_shrink_rle(s, table):
+def _ref_make(ids, key, arg0, arg1, level, k):
+    """The id of production ``key``, appended at level ``k`` if it is new."""
+    if key not in ids:
+        ids[key] = len(level)
+        arg0.append(key[1])
+        arg1.append(key[2])
+        level.append(k)
+    return ids[key]
+
+
+def ref_shrink_rle(s, arg0, arg1, level):
     """``builder.shrink_rle`` as an index scan: a run is found by an inner
     loop from its first symbol."""
     k = s.level + 1
     if k % 2 == 0:
         raise BadLevelError(f"run compression after level {s.level}: needs an odd round")
     syms = s.symbols
-    ids = _productions(table)
+    ids = _productions(arg0, arg1, level)
     out = []
     i = 0
     n = len(syms)
@@ -417,34 +440,28 @@ def ref_shrink_rle(s, table):
         while j < n and syms[j] == syms[i]:
             j += 1
         if j - i >= 2:
-            key = (1, syms[i], j - i)
-            if key not in ids:
-                ids[key] = table.add_power(syms[i], j - i, k)
-            out.append(ids[key])
+            out.append(_ref_make(ids, (1, syms[i], j - i), arg0, arg1, level, k))
         else:
             out.append(syms[i])
         i = j
     return LevelString(k, out)
 
 
-def ref_shrink_pc(s, left, table):
+def ref_shrink_pc(s, left, arg0, arg1, level):
     """``builder.shrink_pc`` as the greedy index scan: a left symbol merges
     with the next symbol when that one is not left."""
     k = s.level + 1
     if k % 2 == 1:
         raise BadLevelError(f"pair compression after level {s.level}: needs an even round")
     syms = s.symbols
-    ids = _productions(table)
+    ids = _productions(arg0, arg1, level)
     out = []
     i = 0
     n = len(syms)
     while i < n:
         a = syms[i]
         if a in left and i + 1 < n and syms[i + 1] not in left:
-            key = (0, a, syms[i + 1])
-            if key not in ids:
-                ids[key] = table.add_pair(a, syms[i + 1], k)
-            out.append(ids[key])
+            out.append(_ref_make(ids, (0, a, syms[i + 1]), arg0, arg1, level, k))
             i += 2
         else:
             out.append(a)

@@ -21,120 +21,116 @@ from rlslp.builder import (
     shrink_rle,
 )
 from rlslp.errors import BadLevelError, EmptyTextError
-from rlslp.grammar import POWER, TERMINAL, SymbolTable
+from rlslp.grammar import PAIR, POWER, TERMINAL, Grammar, SymbolTable
 
-from helpers import ref_coin, ref_shrink_pc, ref_shrink_rle, terminal_table, text_corpus
+from helpers import ref_coin, ref_shrink_pc, ref_shrink_rle, terminal_columns, text_corpus
 
 
-def _records(t, first):
-    """The ``(arg0, arg1, level)`` records of ``t`` from id ``first`` on."""
-    return list(zip(t.arg0, t.arg1, t.level))[first:]
+def _records(cols, first):
+    """The ``(arg0, arg1, level)`` records in ``cols`` from id ``first`` on."""
+    return list(zip(*cols))[first:]
 
 
 def test_shrink_rle_groups_maximal_runs():
-    t, (a, b) = terminal_table("ab")
-    out = shrink_rle(LevelString(0, [a, a, a, b]), t)
+    cols, (a, b) = terminal_columns("ab")
+    out = shrink_rle(LevelString(0, [a, a, a, b]), *cols)
     assert out.symbols == [2, b]
-    assert _records(t, 2) == [(a, 3, 1)]
+    assert _records(cols, 2) == [(a, 3, 1)]
 
 
 def test_shrink_rle_no_runs_unchanged():
-    t, (a, b) = terminal_table("ab")
-    out = shrink_rle(LevelString(0, [a, b, a]), t)
+    cols, (a, b) = terminal_columns("ab")
+    out = shrink_rle(LevelString(0, [a, b, a]), *cols)
     assert out.symbols == [a, b, a]
-    assert len(t) == 2
+    assert _records(cols, 2) == []
 
 
 def test_shrink_rle_mixed():
     # a run repeated in one round gets one id
-    t, (a, b) = terminal_table("ab")
-    out = shrink_rle(LevelString(0, [a, a, b, b, b, a, a, b]), t)
+    cols, (a, b) = terminal_columns("ab")
+    out = shrink_rle(LevelString(0, [a, a, b, b, b, a, a, b]), *cols)
     assert out.symbols == [2, 3, 2, b]
-    assert _records(t, 2) == [(a, 2, 1), (b, 3, 1)]
+    assert _records(cols, 2) == [(a, 2, 1), (b, 3, 1)]
 
 
 def test_shrink_rounds_have_their_parity():
-    t, (a, b) = terminal_table("ab")
+    cols, (a, b) = terminal_columns("ab")
     with pytest.raises(BadLevelError):
-        shrink_rle(LevelString(1, [a, a, b]), t)
+        shrink_rle(LevelString(1, [a, a, b]), *cols)
     with pytest.raises(BadLevelError):
-        shrink_pc(LevelString(0, [a, b]), {a}, t)
-    assert len(t) == 2
+        shrink_pc(LevelString(0, [a, b]), {a}, *cols)
+    assert _records(cols, 2) == []
 
 
 def test_shrink_pc_single_pair():
-    t, (a, b) = terminal_table("ab")
-    out = shrink_pc(LevelString(1, [a, b]), {a}, t)
+    cols, (a, b) = terminal_columns("ab")
+    out = shrink_pc(LevelString(1, [a, b]), {a}, *cols)
     assert out.symbols == [2]
-    assert _records(t, 2) == [(a, b, 2)]
+    assert _records(cols, 2) == [(a, b, 2)]
 
 
 def test_shrink_pc_wrong_orientation_unchanged():
-    t, (a, b) = terminal_table("ab")
-    out = shrink_pc(LevelString(1, [a, b]), {b}, t)
+    cols, (a, b) = terminal_columns("ab")
+    out = shrink_pc(LevelString(1, [a, b]), {b}, *cols)
     assert out.symbols == [a, b]
-    assert len(t) == 2
+    assert _records(cols, 2) == []
 
 
 def test_shrink_pc_greedy_left_to_right():
-    t, (a, b) = terminal_table("ab")
-    out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a}, t)
+    cols, (a, b) = terminal_columns("ab")
+    out = shrink_pc(LevelString(1, [a, b, a, b, a]), {a}, *cols)
     assert out.symbols == [2, 2, a]
-    assert _records(t, 2) == [(a, b, 2)]
+    assert _records(cols, 2) == [(a, b, 2)]
 
 
 def test_shrinks_of_the_empty_string():
     # an empty string one level up, with nothing read or made
-    t, (a,) = terminal_table("a")
-    assert shrink_rle(LevelString(0, []), t) == LevelString(1, [])
-    assert shrink_pc(LevelString(1, []), {a}, t) == LevelString(2, [])
-    assert len(t) == 1
+    cols, (a,) = terminal_columns("a")
+    assert shrink_rle(LevelString(0, []), *cols) == LevelString(1, [])
+    assert shrink_pc(LevelString(1, []), {a}, *cols) == LevelString(2, [])
+    assert _records(cols, 1) == []
 
 
 def test_shrinks_pass_one_symbol_through():
-    t, (a,) = terminal_table("a")
-    assert shrink_rle(LevelString(0, [a]), t) == LevelString(1, [a])
+    cols, (a,) = terminal_columns("a")
+    assert shrink_rle(LevelString(0, [a]), *cols) == LevelString(1, [a])
     for left in ({a}, set()):
-        assert shrink_pc(LevelString(1, [a]), left, t) == LevelString(2, [a])
-    assert len(t) == 1
+        assert shrink_pc(LevelString(1, [a]), left, *cols) == LevelString(2, [a])
+    assert _records(cols, 1) == []
 
 
-def _table_state(t):
-    return t.arg0, t.arg1, t.level, t.explen
+def _fresh_columns(letters):
+    return terminal_columns(letters)[0], terminal_columns(letters)[0]
 
 
-def _fresh_tables(letters):
-    return terminal_table(letters)[0], terminal_table(letters)[0]
-
-
-def _shrink_both(s, left, tables):
-    """``s`` one level up by the builder's shrink on ``tables[0]`` and by the
-    reference on ``tables[1]``, a pair round when ``left`` is given; the
-    outputs and the tables afterwards must be equal."""
-    new, ref = tables
+def _shrink_both(s, left, columns):
+    """``s`` one level up by the builder's shrink on ``columns[0]`` and by
+    the reference on ``columns[1]``, a pair round when ``left`` is given; the
+    outputs and the columns afterwards must be equal."""
+    new, ref = columns
     if left is None:
-        out, want = shrink_rle(s, new), ref_shrink_rle(s, ref)
+        out, want = shrink_rle(s, *new), ref_shrink_rle(s, *ref)
     else:
-        out, want = shrink_pc(s, left, new), ref_shrink_pc(s, left, ref)
+        out, want = shrink_pc(s, left, *new), ref_shrink_pc(s, left, *ref)
     assert out == want
-    assert _table_state(new) == _table_state(ref)
+    assert new == ref
     return out
 
 
 def test_shrinks_match_reference_on_builds():
     # every round of a build, replayed under its coins by both shrinks from
-    # two fresh tables: the level strings, the symbols and their ids agree,
-    # and the tables end as the built one (build runs last, so a broken
-    # shrink fails here rather than in build's seed retries)
+    # two fresh sets of columns: the level strings, the records and their
+    # ids agree, and the columns end as the built table's (build runs last,
+    # so a broken shrink fails here rather than in build's seed retries)
     for text, seed in text_corpus(48, 256, seed=23):
         letters = list(dict.fromkeys(text))
-        tables = _fresh_tables(letters)
+        columns = _fresh_columns(letters)
         s = LevelString(0, [letters.index(ch) for ch in text])
         while len(s.symbols) > 1 and s.level < round_cap(len(text)):
-            s = _shrink_both(s, draw_partition(s, seed) if s.level % 2 else None, tables)
+            s = _shrink_both(s, draw_partition(s, seed) if s.level % 2 else None, columns)
         g = build(text, seed)
         assert (g.seed, g.rounds, g.start) == (seed, s.level, s.symbols[0])
-        assert _table_state(tables[0]) == _table_state(g.table)
+        assert columns[0] == (g.table.arg0, g.table.arg1, g.table.level)
 
 
 @pytest.mark.parametrize("word, left", [
@@ -150,29 +146,30 @@ def test_shrinks_match_reference_on_builds():
     ("aabbbcaa", "ac"),
 ])
 def test_shrinks_match_reference_on_crafted_strings(word, left):
-    tables = _fresh_tables("abc")
+    columns = _fresh_columns("abc")
     ids = dict(zip("abc", range(3)))
     syms = [ids[ch] for ch in word]
-    _shrink_both(LevelString(0, syms), None, tables)
-    _shrink_both(LevelString(1, syms), {ids[ch] for ch in left}, tables)
+    _shrink_both(LevelString(0, syms), None, columns)
+    _shrink_both(LevelString(1, syms), {ids[ch] for ch in left}, columns)
 
 
 def _shrink_build(text, left_of):
-    """The table of ``text`` built by ``shrink_rle`` and ``shrink_pc``, each
-    pair round taking ``left_of(s)`` as its left set, with no round cap."""
+    """The columns of ``text`` built by ``shrink_rle`` and ``shrink_pc``,
+    each pair round taking ``left_of(s)`` as its left set, with no round cap."""
     letters = list(dict.fromkeys(text))
-    t, _ = terminal_table(letters)
+    cols, _ = terminal_columns(letters)
     s = LevelString(0, [letters.index(ch) for ch in text])
     while len(s.symbols) > 1:
-        s = shrink_pc(s, left_of(s), t) if s.level % 2 else shrink_rle(s, t)
-    return t
+        s = shrink_pc(s, left_of(s), *cols) if s.level % 2 else shrink_rle(s, *cols)
+    return cols
 
 
 def test_no_production_is_made_twice():
     # a round merges every adjacency it can, so no later round makes one of
     # its productions again and one dict per round hash-conses a whole
     # build: from_columns, which rejects a production repeated under a new
-    # id as "duplicate symbol", loads every table, whatever the left sets
+    # id as "duplicate symbol", loads the columns of shrink-only builds,
+    # whatever the left sets (build itself ends with from_columns)
     rng = random.Random(24)
 
     def coin(s):
@@ -182,19 +179,19 @@ def test_no_production_is_made_twice():
         return set(list(dict.fromkeys(s.symbols))[0::2])
 
     for text, seed in text_corpus(120, 256, seed=24):
-        for t in (build(text, seed).table, _shrink_build(text, coin),
-                  _shrink_build(text, rank_parity)):
-            SymbolTable.from_columns(t.arg0, t.arg1, t.level, len(text))
+        build(text, seed)
+        for cols in (_shrink_build(text, coin), _shrink_build(text, rank_parity)):
+            SymbolTable.from_columns(*cols, len(text))
 
 
 def test_draw_partition_pinned_and_deterministic():
-    _, (a, b, c) = terminal_table("abc")
+    _, (a, b, c) = terminal_columns("abc")
     s = LevelString(1, [a, b, c, a, b, c])
     assert draw_partition(s, 42) == draw_partition(s, 42) == {a, c}
 
 
 def test_draw_partition_single_symbol():
-    _, (a,) = terminal_table("a")
+    _, (a,) = terminal_columns("a")
     assert draw_partition(LevelString(1, [a, a, a]), 7) == {a}
 
 
@@ -251,19 +248,13 @@ def test_build_deterministic():
 
 
 def test_level_parity():
-    # a symbol's kind is its level's parity, so a pair on an odd level or a
-    # power on an even one is rejected where records are appended
-    for text, seed in text_corpus(16, 128, seed=5):
-        t = build(text, seed).table
-        n = len(t)
-        odd = (max(t.level) + 2) | 1  # above every level, so parity is the only fault
-        for add, args in ((t.add_pair, (0, n - 1, odd)), (t.add_power, (0, 99, odd + 1))):
-            with pytest.raises(BadLevelError):
-                add(*args)
-            assert len(t) == n and len(t.arg0) == len(t.arg1) == len(t.explen) == n
-        assert t.add_power(0, 99, odd) == n
-        if n > 1:
-            assert t.add_pair(0, n - 1, odd + 1) == n + 1
+    # a symbol's kind is its level's parity: from_columns reads the record
+    # (a, 2) as the power a^2 on an odd level and as the pair ac on an even one
+    cols, (a, b, c) = terminal_columns("abc")
+    for lv, kind, word in ((1, POWER, "aa"), (2, PAIR, "ac"), (3, POWER, "aa"), (4, PAIR, "ac")):
+        t = SymbolTable.from_columns(cols[0] + [a], cols[1] + [2], cols[2] + [lv], 2)
+        g = Grammar(table=t, start=3, rounds=lv, seed=0, text_len=2)
+        assert (t.kind[3], g.expand(3)) == (kind, word)
 
 
 def test_level_string_endpoints():
@@ -323,22 +314,13 @@ _FAULTY_SHRINK = """
 import rlslp.builder as builder
 from rlslp.errors import InternalInvariantError
 
-def shrink_rle(s, table):  # ends with FLUSHES copies of the final flush
-    k = s.level + 1
-    out = []
-    it = iter(s.symbols)
-    prev, e = next(it, None), 1
-    for a in it:
-        if a == prev:
-            e += 1
-        else:
-            out.append(table.add_power(prev, e, k) if e > 1 else prev)
-            prev, e = a, 1
-    for _ in range(FLUSHES):
-        out.append(table.add_power(prev, e, k) if e > 1 else prev)
-    return builder.LevelString(k, out)
+real_rle = builder.shrink_rle
 
-def shrink_pc(s, left, table):  # merges nothing
+def shrink_rle(s, *cols):  # ends with FLUSHES copies of its last symbol
+    out = real_rle(s, *cols).symbols
+    return builder.LevelString(s.level + 1, out[:-1] + out[-1:] * FLUSHES)
+
+def shrink_pc(s, left, *cols):  # merges nothing
     return builder.LevelString(s.level + 1, list(s.symbols))
 
 builder.SHRINK = SHRINK

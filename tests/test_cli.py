@@ -13,7 +13,7 @@ import pytest
 
 import rlslp
 from rlslp import lce, rev_lce
-from rlslp.builder import _SLICE, LevelString, build, level_string
+from rlslp.builder import _SLICE, LevelString, build, level_string, shrink_pc, shrink_rle
 from rlslp.cli import load_index, main, save_index
 from rlslp.errors import IndexFormatError, InternalInvariantError
 from rlslp.grammar import Grammar, SymbolTable
@@ -223,11 +223,78 @@ def test_build_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     # a pair shrink that merges nothing fails every seed: one stderr line,
     # no traceback, no index
     monkeypatch.setattr("rlslp.builder.shrink_pc",
-                        lambda s, left, table: LevelString(s.level + 1, s.symbols))
+                        lambda s, left, *cols: LevelString(s.level + 1, s.symbols))
     path = tmp_path / "never.idx"
     assert main(["build", "--text", "ab", "--output", str(path)]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == "internal error: no seed of 0 to 7 left one symbol within 48 rounds\n"
+    assert not path.exists()
+
+
+def _first_record_faulty(name, first_round, column, value):
+    """``name`` and the builder's shrink ``name`` with ``column`` of the
+    first record it appends in each round from ``first_round`` on set to
+    ``value(sid, cols)``; the lowest faulty id is that of the first such
+    round."""
+    real = {"shrink_rle": shrink_rle, "shrink_pc": shrink_pc}[name]
+
+    def shrink(s, *args):
+        cols = args[-3:]
+        sid = len(cols[2])
+        out = real(s, *args)
+        if sid < len(cols[2]) and s.level + 1 >= first_round:
+            cols[column][sid] = value(sid, cols)
+        return out
+    return name, shrink
+
+
+def _pc_without_round_dict(s, left, arg0, arg1, level):
+    """The builder's pair round, but each merge after a pair's first makes
+    the pair again under a new id."""
+    first = len(level)
+    out = shrink_pc(s, left, arg0, arg1, level)
+    seen = set()
+    for i, sid in enumerate(out.symbols):
+        if sid in seen:
+            out.symbols[i] = len(level)
+            for col in (arg0, arg1, level):
+                col.append(col[sid])
+        elif sid >= first:
+            seen.add(sid)
+    return out
+
+
+@pytest.mark.parametrize("faulty, text, message", [
+    # a pair's right child set to its left one
+    (_first_record_faulty("shrink_pc", 2, 1, lambda i, c: c[0][i]), "aab",
+     "invalid symbol 3: pair children must differ, got 2 twice"),
+    # a power's exponent set to 1
+    (_first_record_faulty("shrink_rle", 1, 1, lambda i, c: 1), "aab",
+     "invalid symbol 2: power exponent must be >= 2, got 1"),
+    # a pair's right child set to the id after its own
+    (_first_record_faulty("shrink_pc", 2, 1, lambda i, c: i + 1), "aab",
+     "invalid symbol 3: symbol id 4 not in table"),
+    # a pair recorded at its left child's level, from round 4 on, where the
+    # first pair of this text (seed 0) has a pair as its left child
+    (_first_record_faulty("shrink_pc", 4, 2, lambda i, c: c[2][c[0][i]]), "abcdefghabcdefgh",
+     "invalid symbol 10: pair level 2 not above children levels 2, 0"),
+    # a pair round without its dict
+    (("shrink_pc", _pc_without_round_dict), "abababababcabab", "duplicate symbol 5"),
+], ids=["equal-children", "exponent-1", "unmade-child", "level-not-above-child",
+        "repeated-production"])
+def test_build_faulty_record_exit_4(tmp_path, capsys, monkeypatch, faulty, text, message):
+    # a shrink that appends a faulty record, or repeats a production under a
+    # new id, fails the check a loaded index passes: build raises
+    # InternalInvariantError with the loader's message, and rlslp build
+    # prints it as one line, exits 4 and writes no index
+    name, shrink = faulty
+    monkeypatch.setattr(f"rlslp.builder.{name}", shrink)
+    with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+        build(text, 0)
+    path = tmp_path / "never.idx"
+    assert main(["build", "--text", text, "--output", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"internal error: {message}\n"
     assert not path.exists()
 
 
@@ -268,11 +335,14 @@ def _assert_rejected(path, match, capsys):
 
 
 def test_deep_loaded_grammar_expands(tmp_path):
-    # a chain of 1500 pairs, (((ab)b)b)..., deeper than the recursion limit
-    t = SymbolTable()
-    s, b = t.add_terminal(ord("a")), t.add_terminal(ord("b"))
-    for k in range(1, 1500):
-        s = t.add_pair(s, b, 2 * k)
+    # a chain of 1500 pairs, (((ab)b)b)..., deeper than the recursion limit:
+    # symbols 0 and 1 are a and b, pair k is symbol k + 1 with left child k
+    # (a for k = 1) and right child b
+    arg0 = [ord("a"), ord("b"), 0, *range(2, 1500)]
+    arg1 = [0, 0] + [1] * 1499
+    level = [0, 0] + list(range(2, 3000, 2))
+    t = SymbolTable.from_columns(arg0, arg1, level, 1500)
+    s = len(t) - 1
     path = tmp_path / "deep.idx"
     save_index(Grammar(table=t, start=s, rounds=2 * 1499, seed=0, text_len=1500), str(path))
     g = load_index(str(path))

@@ -2,15 +2,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlslp.builder import LevelString, build, shrink_pc
-from rlslp.errors import (
-    BadExponentError,
-    BadLevelError,
-    EqualChildrenError,
-    UnknownSymbolError,
-)
-from rlslp.grammar import PAIR, POWER, TERMINAL
+from rlslp.errors import IndexFormatError, UnknownSymbolError
+from rlslp.grammar import PAIR, POWER, TERMINAL, Grammar, SymbolTable
 
-from helpers import terminal_table, text_corpus
+from helpers import terminal_columns, text_corpus
+
+
+def _table(letters, records, text_len):
+    """``SymbolTable.from_columns`` of one terminal per letter followed by
+    ``records``, each ``(arg0, arg1, level)``."""
+    cols, _ = terminal_columns(letters)
+    for col, values in zip(cols, zip(*records)):
+        col.extend(values)
+    return SymbolTable.from_columns(*cols, text_len)
 
 
 def test_terminal_interning_idempotent():
@@ -20,63 +24,58 @@ def test_terminal_interning_idempotent():
 
 
 def test_terminal_record():
-    t, (a,) = terminal_table("a")
-    assert t.explen[a] == 1
-    assert t.level[a] == 0
-    assert t.kind[a] == TERMINAL
+    t = _table("a", [], 1)
+    assert t.explen[0] == 1
+    assert t.level[0] == 0
+    assert t.kind[0] == TERMINAL
 
 
 def test_pair_explen_is_sum():
-    t, (a, b) = terminal_table("ab")
-    p = t.add_pair(a, b, 2)
-    assert t.explen[p] == 2
-    assert t.kind[p] == PAIR
+    t = _table("ab", [(0, 1, 2)], 2)
+    assert t.explen[2] == 2
+    assert t.kind[2] == PAIR
 
 
 def test_pair_requires_distinct_children():
-    t, (a,) = terminal_table("a")
-    with pytest.raises(EqualChildrenError):
-        t.add_pair(a, a, 2)
+    with pytest.raises(IndexFormatError, match="^invalid symbol 1: pair children must differ, "
+                                               "got 0 twice$"):
+        _table("a", [(0, 0, 2)], 2)
 
 
 def test_pair_interning_idempotent_and_level_fixed():
     # one pair round makes one id per pair, at the round's level
-    t, (a, b) = terminal_table("ab")
-    out = shrink_pc(LevelString(5, [a, b, a, b]), {a}, t)
+    cols, (a, b) = terminal_columns("ab")
+    out = shrink_pc(LevelString(5, [a, b, a, b]), {a}, *cols)
     assert out.symbols == [2, 2]
-    assert (t.arg0, t.arg1, t.level) == ([97, 98, a], [0, 0, b], [0, 0, 6])
+    assert cols == ([97, 98, a], [0, 0, b], [0, 0, 6])
 
 
 def test_pair_level_must_exceed_children():
-    t, (a, b) = terminal_table("ab")
-    with pytest.raises(BadLevelError):
-        t.add_pair(a, b, 0)
+    with pytest.raises(IndexFormatError, match="^invalid symbol 3: pair level 2 not above "
+                                               "children levels 2, 0$"):
+        _table("ab", [(0, 1, 2), (2, 1, 2)], 3)
 
 
 def test_power_explen_and_errors():
-    t, (a,) = terminal_table("a")
-    p = t.add_power(a, 3, 1)
-    assert t.explen[p] == 3
-    assert t.kind[p] == POWER
-    with pytest.raises(BadExponentError):
-        t.add_power(a, 1, 1)
-    with pytest.raises(BadLevelError):
-        t.add_power(a, 4, 0)
-    assert len(t) == 2
+    t = _table("a", [(0, 3, 1)], 3)
+    assert t.explen[1] == 3
+    assert t.kind[1] == POWER
+    with pytest.raises(IndexFormatError, match="^invalid symbol 1: power exponent must be "
+                                               ">= 2, got 1$"):
+        _table("a", [(0, 1, 1)], 3)
+    with pytest.raises(IndexFormatError, match="^invalid symbol 3: power level 1 not above "
+                                               "base level 2$"):
+        _table("ab", [(0, 1, 2), (2, 4, 1)], 8)
 
 
 def test_expand_base_cases():
     g = build("a", 0)
     assert g.expand(g.start) == "a"
-    t, (a, b) = terminal_table("ab")
-    p3 = t.add_power(a, 3, 1)
-    from rlslp.grammar import Grammar
-    g2 = Grammar(table=t, start=p3, rounds=1, seed=0, text_len=3)
-    assert g2.expand(p3) == "aaa"
-    p2 = t.add_power(a, 2, 1)
-    pair = t.add_pair(p2, b, 2)
-    g3 = Grammar(table=t, start=pair, rounds=2, seed=0, text_len=3)
-    assert g3.expand(pair) == "aab"
+    t = _table("ab", [(0, 3, 1), (0, 2, 1), (3, 1, 2)], 3)
+    g2 = Grammar(table=t, start=2, rounds=1, seed=0, text_len=3)
+    assert g2.expand(2) == "aaa"
+    g3 = Grammar(table=t, start=4, rounds=2, seed=0, text_len=3)
+    assert g3.expand(4) == "aab"
 
 
 def test_expand_unknown_symbol():

@@ -9,7 +9,7 @@ from rlslp.ipm import ipm_query
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce, naive_rle_match
 from rlslp.popped import pseq
 
-from helpers import random_ipm_pair, text_corpus
+from helpers import random_ipm_pair, terminal_columns, text_corpus
 
 
 def test_naive_occ_hand_cases():
@@ -75,20 +75,21 @@ def _parity_build(text, seed):
     the number of its pair rounds whose merges differ from the coin's.  The
     first two symbols of a run-free string have ranks 0 and 1 and merge, so
     every pair round shortens the string."""
-    table = SymbolTable()
-    ids = {ch: table.add_terminal(ord(ch)) for ch in dict.fromkeys(text)}
-    cur = LevelString(0, [ids[ch] for ch in text])
+    letters = list(dict.fromkeys(text))
+    cols, _ = terminal_columns(letters)
+    cur = LevelString(0, [letters.index(ch) for ch in text])
     differ = 0
     while len(cur.symbols) > 1:
         if cur.level % 2 == 0:
-            cur = shrink_rle(cur, table)
+            cur = shrink_rle(cur, *cols)
             continue
         left = set(list(dict.fromkeys(cur.symbols))[0::2])
         adjacent = set(zip(cur.symbols, cur.symbols[1:]))
         coin = draw_partition(cur, seed)
         differ += ({(a, b) for a, b in adjacent if a in left and b not in left} !=
                    {(a, b) for a, b in adjacent if a in coin and b not in coin})
-        cur = shrink_pc(cur, left, table)
+        cur = shrink_pc(cur, left, *cols)
+    table = SymbolTable.from_columns(*cols, len(text))
     return Grammar(table=table, start=cur.symbols[0], rounds=cur.level, seed=seed,
                    text_len=len(text)), differ
 
