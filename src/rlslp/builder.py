@@ -14,15 +14,16 @@ right one merges with it, the end of the string emits it alone.  That is the
 left-to-right greedy scan, since a pair's right symbol is never left.
 
 A build appends its records to three plain lists, the ``arg0``, ``arg1``
-and ``level`` columns, and ends with ``SymbolTable.from_columns``: a built
-grammar passes the check a loaded index passes, and a faulty record raises
-``InternalInvariantError`` with the loader's message.  Hash-consing is per
-round: each shrink keeps its round's productions in a dict of its own and
-appends only a new one.  A round merges every run and every left symbol
-followed by a right one, and a merge replaces only its children: children
-of a round-k production adjacent after round k were adjacent before it, and
-merged.  So no later round makes a production of round k again, and
-``from_columns``'s duplicate check confirms it on every build.
+and ``level`` columns, and ends with ``SymbolTable.from_columns`` and
+``Grammar``: a built grammar passes the check a loaded index passes, and a
+faulty record or start symbol raises ``InternalInvariantError`` with the
+loader's message.  Hash-consing is per round: each shrink keeps its round's
+productions in a dict of its own and appends only a new one.  A round
+merges every run and every left symbol followed by a right one, and a merge
+replaces only its children: children of a round-k production adjacent after
+round k were adjacent before it, and merged.  So no later round makes a
+production of round k again, and ``from_columns``'s duplicate check
+confirms it on every build.
 
 The coin stream is a counter-based mix of (seed, round, first-occurrence
 rank of the symbol): the coin of rank r in round k is bit 0 of
@@ -201,8 +202,8 @@ def build(text: str, seed: int = 0) -> Grammar:
     (chained), and the grammar records the seed used.  Its table is
     ``SymbolTable.from_columns`` of the records the rounds appended.  Only a
     faulty shrink makes ``SEED_TRIES`` seeds fail, a round empty or lengthen
-    the string, or a record fail ``from_columns``'s check; each raises
-    ``InternalInvariantError``, naming the seeds, the round or the symbol.
+    the string, or the grammar fail ``rlslp.grammar``'s check; each raises
+    ``InternalInvariantError``, naming the seeds, the round or the fault.
     """
     if len(text) == 0:
         raise EmptyTextError("cannot build a grammar for the empty text")
@@ -229,11 +230,11 @@ def build(text: str, seed: int = 0) -> Grammar:
                                              f"from {before} to {len(cur.symbols)} symbols")
         if len(cur.symbols) == 1:
             try:
-                table = SymbolTable.from_columns(arg0, arg1, level, n)
+                return Grammar(table=SymbolTable.from_columns(arg0, arg1, level, n),
+                               start=cur.symbols[0], rounds=cur.level, seed=use_seed,
+                               text_len=n)
             except IndexFormatError as exc:
                 raise InternalInvariantError(str(exc)) from exc
-            return Grammar(table=table, start=cur.symbols[0], rounds=cur.level,
-                           seed=use_seed, text_len=n)
         use_seed = (use_seed + 1) & _MASK64
     raise InternalInvariantError(f"no seed of {seed & _MASK64} to {(use_seed - 1) & _MASK64} "
                                  f"left one symbol within {cap} rounds")

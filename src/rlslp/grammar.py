@@ -1,17 +1,19 @@
-"""Symbol table for run-length straight-line programs.
+"""Run-length straight-line programs, and the one check of a grammar.
 
 A symbol is a terminal character, a pair production ``BC`` with ``B != C``,
 or a power production ``B^m`` with ``m >= 2``.  Every symbol has a dense
 integer id and stores the length of its expansion and the compression round
-that created it.  ``SymbolTable.from_columns`` is the one way to make a
-table: it checks the records of a built and of a loaded grammar alike, and
-the table stores nothing else.  Symbol ids are assigned in creation order,
-so a grammar built from a fixed (text, seed) always serializes the same way.
+that created it.  ``SymbolTable.from_columns``, the one way to make a table,
+checks each record and ``Grammar`` its start symbol, built or loaded alike;
+each rule and its message is stated here once.  Symbol ids are assigned in
+creation order, so a grammar built from a fixed (text, seed) always
+serializes the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import IndexFormatError, UnknownSymbolError
 
@@ -44,11 +46,12 @@ class SymbolTable:
         """The table whose ``arg0``, ``arg1`` and ``level`` columns are the
         given lists of one length, kept as they are.  A record's kind is its
         level's parity and a terminal's ``arg1`` is 0.  One pass over the ids
-        checks each record (children made before it, distinct pair children,
-        an exponent of at least 2, a level above its children's, a codepoint
-        in range), computes its explen and bounds it by ``text_len``; then one
-        set rejects a production repeated under a new id.  Raises
-        ``IndexFormatError`` naming the lowest faulty id."""
+        tests each record's rules in turn (children made before it, distinct
+        pair children, an exponent of at least 2, a level above its
+        children's, a codepoint in range, an explen of at most ``text_len``)
+        and raises ``IndexFormatError`` at the first that fails, or first at
+        a repeated production below it; then one set rejects a production
+        repeated under a new id."""
         count = len(level)
         explen = [0] * count
         # One int key per production, the level left out; the kinds' ranges
@@ -56,33 +59,41 @@ class SymbolTable:
         # pairs from there up, powers (exponent >= 2) below 0.
         keys = [0] * count
         for sid, b, c, lv in zip(range(count), arg0, arg1, level):
-            if lv & 1:
-                if not 0 <= b < sid or c < 2 or lv <= level[b]:
-                    break
+            if lv & 1:  # a power
+                if not 0 <= b < sid:
+                    _reject(keys, sid, _UNMADE.format(b))
+                if c < 2:
+                    _reject(keys, sid, f"power exponent must be >= 2, got {c}")
+                if lv <= level[b]:
+                    _reject(keys, sid, f"power level {lv} not above base level {level[b]}")
                 e = c * explen[b]
                 keys[sid] = -1 - (c * count + b)
-            elif lv:
-                if (not (0 <= b < sid and 0 <= c < sid) or b == c
-                        or lv <= level[b] or lv <= level[c]):
-                    break
+            elif lv:  # a pair
+                if not (0 <= b < sid and 0 <= c < sid):
+                    _reject(keys, sid, _UNMADE.format(c if 0 <= b < sid else b))
+                if b == c:
+                    _reject(keys, sid, f"pair children must differ, got {b} twice")
+                if lv <= level[b] or lv <= level[c]:
+                    _reject(keys, sid, f"pair level {lv} not above children levels "
+                                       f"{level[b]}, {level[c]}")
                 e = explen[b] + explen[c]
                 keys[sid] = 0x110000 + b * count + c
-            elif c or not 0 <= b < 0x110000:
-                break
-            else:
+            else:  # a terminal
+                if c:
+                    _reject_duplicate(keys, sid)
+                    raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
+                if not 0 <= b < 0x110000:
+                    _reject(keys, sid, f"codepoint {b} outside [0, 0x110000)")
                 e = 1
                 keys[sid] = b
             # Every symbol of a built grammar occurs in the text's parse, so a
             # longer one can only be unreachable: reject it before a chain of
             # powers makes the lengths of the symbols above it huge.
             if e > text_len:
-                break
+                _reject(keys, sid, f"expansion length {e} exceeds text_len {text_len}")
             explen[sid] = e
-        else:  # no record is faulty
-            sid = count
-        if sid < count or len(set(keys)) != count:
-            _reject_duplicate(keys, sid)
-            _reject_record(level, explen, sid, arg0[sid], arg1[sid], text_len)
+        if len(set(keys)) != count:
+            _reject_duplicate(keys, count)
         table = cls.__new__(cls)
         table.arg0, table.arg1, table.level, table.explen = arg0, arg1, level, explen
         return table
@@ -126,34 +137,13 @@ def _reject_duplicate(keys: list[int], upto: int) -> None:
         seen.add(keys[sid])
 
 
-def _reject_record(level: list[int], explen: list[int], sid: int, b: int, c: int,
-                   text_len: int) -> None:
-    """Raise the error of record ``sid``, ``(b, c, level[sid])``, which
-    ``from_columns`` found faulty: the first rule it breaks, in the order
-    ``from_columns`` checks them, or its expansion length above ``text_len``."""
-    lv = level[sid]
-    if not lv:  # a terminal
-        if c:
-            raise IndexFormatError(f"terminal with arg1 {c} at symbol {sid}")
-        fault = (f"codepoint {b} outside [0, 0x110000)" if not 0 <= b < 0x110000
-                 else f"expansion length 1 exceeds text_len {text_len}")
-    elif not 0 <= b < sid:
-        fault = f"symbol id {b} not in table"
-    elif lv & 1:  # a power
-        if c < 2:
-            fault = f"power exponent must be >= 2, got {c}"
-        elif lv <= level[b]:
-            fault = f"power level {lv} not above base level {level[b]}"
-        else:
-            fault = f"expansion length {c * explen[b]} exceeds text_len {text_len}"
-    elif not 0 <= c < sid:
-        fault = f"symbol id {c} not in table"
-    elif b == c:
-        fault = f"pair children must differ, got {b} twice"
-    elif lv <= level[b] or lv <= level[c]:
-        fault = f"pair level {lv} not above children levels {level[b]}, {level[c]}"
-    else:
-        fault = f"expansion length {explen[b] + explen[c]} exceeds text_len {text_len}"
+_UNMADE = "symbol id {} not in table"  # a child that is not an earlier symbol
+
+
+def _reject(keys: list[int], sid: int, fault: str) -> NoReturn:
+    """Raise ``invalid symbol <sid>: <fault>``, or first the error of a
+    production below ``sid`` that repeats an earlier one."""
+    _reject_duplicate(keys, sid)
     raise IndexFormatError(f"invalid symbol {sid}: {fault}")
 
 
@@ -161,7 +151,9 @@ def _reject_record(level: list[int], explen: list[int], sid: int, b: int, c: int
 class Grammar:
     """Immutable grammar: symbol table, start symbol, round count, seed.
 
-    Safe for concurrent reads once built; queries never mutate it.
+    Safe for concurrent reads once built; queries never mutate it.  Made
+    only with a start in the table, of explen ``text_len`` and level
+    ``rounds``: else ``IndexFormatError``.
     """
 
     table: SymbolTable
@@ -169,6 +161,16 @@ class Grammar:
     rounds: int
     seed: int
     text_len: int
+
+    def __post_init__(self) -> None:
+        t = self.table
+        if not 0 <= self.start < len(t):
+            raise IndexFormatError("start symbol out of range")
+        if t.explen[self.start] != self.text_len:
+            raise IndexFormatError("text_len does not match the start symbol expansion")
+        if t.level[self.start] != self.rounds:
+            raise IndexFormatError(f"rounds={self.rounds} does not match the start symbol's "
+                                   f"level {t.level[self.start]}")
 
     def expand(self, sid: int) -> str:
         """Expansion string of a symbol, of length ``explen(sid)``: the

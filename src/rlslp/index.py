@@ -4,10 +4,9 @@ An index file is an ASCII header line, ``RLSLP1 version=2 seed=.. rounds=..
 text_len=.. symbols=.. start=..``, then the ``arg0``, ``arg1`` and ``level``
 columns in little-endian binary (``save_index``); a symbol's kind is its
 level's parity.  ``load_index`` reads this one format and rejects any other
-version.  The columns it reads become the loaded table's columns, checked
-by ``SymbolTable.from_columns`` in one pass that also bounds every
-expansion by ``text_len``: the check every built grammar passes too.  A
-build is byte-reproducible for a fixed (text, seed).
+version or a seed outside [0, 2^64); every other check is ``rlslp.grammar``'s,
+the one every built grammar passes too.  A build is byte-reproducible for a
+fixed (text, seed).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def save_index(g: Grammar, path: str) -> None:
 
 
 def _parse_header(head: bytes) -> dict:
-    """The fields of an index header line."""
+    """The fields of an index header line, its version and seed checked."""
     try:
         header = head.decode("ascii").split()
     except UnicodeDecodeError as exc:
@@ -65,6 +64,8 @@ def _parse_header(head: bytes) -> dict:
         raise IndexFormatError("bad header fields")
     if fields["version"] != FORMAT_VERSION:
         raise IndexFormatError(f"unsupported version {fields['version']}")
+    if not 0 <= fields["seed"] < 1 << 64:
+        raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
     return fields
 
 
@@ -90,7 +91,8 @@ def _read_columns(payload: bytes, count: int, text_len: int):
 
 def load_index(path: str) -> Grammar:
     """Parse an index file.  Its columns become the table's columns, checked
-    and given their explen in one pass (``SymbolTable.from_columns``)."""
+    and given their explen in one pass (``SymbolTable.from_columns``); then
+    ``Grammar`` checks the header's start, ``rounds`` and ``text_len``."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -100,20 +102,8 @@ def load_index(path: str) -> Grammar:
         raise IndexFormatError("empty index file")
     head, _, body = data.partition(b"\n")
     fields = _parse_header(head)
-    if not 0 <= fields["seed"] < 1 << 64:
-        raise IndexFormatError(f"seed {fields['seed']} outside [0, 2^64)")
     text_len = fields["text_len"]
     table = SymbolTable.from_columns(*_read_columns(body, fields["symbols"], text_len),
                                      text_len)
-
-    start = fields["start"]
-    if not (0 <= start < len(table)):
-        raise IndexFormatError("start symbol out of range")
-    g = Grammar(table=table, start=start, rounds=fields["rounds"],
-                seed=fields["seed"], text_len=text_len)
-    if table.explen[start] != g.text_len:
-        raise IndexFormatError("text_len does not match the start symbol expansion")
-    if table.level[start] != g.rounds:
-        raise IndexFormatError(f"rounds={g.rounds} does not match the start symbol's level "
-                               f"{table.level[start]}")
-    return g
+    return Grammar(table=table, start=fields["start"], rounds=fields["rounds"],
+                   seed=fields["seed"], text_len=text_len)

@@ -264,6 +264,15 @@ def _pc_without_round_dict(s, left, arg0, arg1, level):
     return out
 
 
+def _rle_losing_last_symbol(s, *cols):
+    """The builder's run round, but it drops its last symbol while more than
+    one is left."""
+    out = shrink_rle(s, *cols)
+    if len(out.symbols) > 1:
+        out.symbols.pop()
+    return out
+
+
 @pytest.mark.parametrize("faulty, text, message", [
     # a pair's right child set to its left one
     (_first_record_faulty("shrink_pc", 2, 1, lambda i, c: c[0][i]), "aab",
@@ -280,11 +289,15 @@ def _pc_without_round_dict(s, left, arg0, arg1, level):
      "invalid symbol 10: pair level 2 not above children levels 2, 0"),
     # a pair round without its dict
     (("shrink_pc", _pc_without_round_dict), "abababababcabab", "duplicate symbol 5"),
+    # a run round that loses the b of aab: the last symbol, a^2, expands to
+    # 2 of the text's 3 characters
+    (("shrink_rle", _rle_losing_last_symbol), "aab",
+     "text_len does not match the start symbol expansion"),
 ], ids=["equal-children", "exponent-1", "unmade-child", "level-not-above-child",
-        "repeated-production"])
+        "repeated-production", "lost-symbol"])
 def test_build_faulty_record_exit_4(tmp_path, capsys, monkeypatch, faulty, text, message):
-    # a shrink that appends a faulty record, or repeats a production under a
-    # new id, fails the check a loaded index passes: build raises
+    # a shrink that appends a faulty record, repeats a production under a
+    # new id or loses a symbol fails the check a loaded index passes: build raises
     # InternalInvariantError with the loader's message, and rlslp build
     # prints it as one line, exits 4 and writes no index
     name, shrink = faulty
@@ -491,7 +504,8 @@ def _apply(edit, fields, arg0, arg1, level):
 
 def test_loaders_agree(tmp_path, monkeypatch):
     # from_columns against the per-record reference loop, through load_index:
-    # the same message for every rejected file, the same table for the rest
+    # the same message for every rejected file, the same table for the rest,
+    # under one, two and three faults at once
     rng = random.Random(7)
     path = tmp_path / "edit.idx"
     runs = rejected = 0
@@ -504,6 +518,7 @@ def test_loaders_agree(tmp_path, monkeypatch):
         singles = _one_fault_edits(fields, *cols)
         plans = [[]] + [[e] for e in singles]
         plans += [rng.sample(singles, 2) for _ in range(len(singles) // 2)]
+        plans += [rng.sample(singles, 3) for _ in range(len(singles) // 2)]
         for plan in plans:
             f, a0, a1, lv = dict(fields), *(list(col) for col in cols)
             for edit in plan:
@@ -522,9 +537,16 @@ def test_loaders_agree(tmp_path, monkeypatch):
     assert 0 < rejected < runs
 
 
-def test_load_rejects_rounds_other_than_start_level(tmp_path, capsys):
-    path = _v2_index(tmp_path, lambda fields, *cols: fields.update(rounds="1"))
-    _assert_rejected(path, "rounds=1 does not match", capsys)
+@pytest.mark.parametrize("field, value, message", [
+    ("rounds", "1", "rounds=1 does not match the start symbol's level 34"),
+    ("start", "20", "start symbol out of range"),
+    ("text_len", "23", "text_len does not match the start symbol expansion"),
+], ids=["rounds", "start-past-table", "text_len-off-by-one"])
+def test_load_rejects_rounds_other_than_start_level(tmp_path, capsys, field, value, message):
+    # the header's rounds, start and text_len must agree with the start
+    # symbol of the table (20 symbols, the start of level 34 and explen 22)
+    path = _v2_index(tmp_path, lambda fields, *cols: fields.update({field: value}))
+    _assert_rejected(path, f"^{message}$", capsys)
 
 
 def test_load_rejects_seed_out_of_range(tmp_path, capsys):

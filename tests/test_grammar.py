@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +79,26 @@ def test_expand_base_cases():
     assert g2.expand(2) == "aaa"
     g3 = Grammar(table=t, start=4, rounds=2, seed=0, text_len=3)
     assert g3.expand(4) == "aab"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("start", 20, "start symbol out of range"),
+    ("start", -1, "start symbol out of range"),
+    ("start", 0, "text_len does not match the start symbol expansion"),
+    ("text_len", 21, "text_len does not match the start symbol expansion"),
+    ("text_len", 23, "text_len does not match the start symbol expansion"),
+    ("rounds", 1, "rounds=1 does not match the start symbol's level 34"),
+    ("rounds", 35, "rounds=35 does not match the start symbol's level 34"),
+], ids=["start-past-table", "negative-start", "start-not-top", "text_len-minus-one",
+        "text_len-plus-one", "rounds-1", "rounds-plus-one"])
+def test_grammar_checks_its_start_symbol(field, value, message):
+    # a Grammar is made only with a start symbol of its table whose explen
+    # is text_len and whose level is rounds, with the loader's messages
+    g = build("abracadabraabracadabra", 0)
+    assert (len(g.table), g.text_len, g.rounds) == (20, 22, 34)
+    with pytest.raises(IndexFormatError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(g, **{field: value})
+    assert dataclasses.replace(g).start == g.start
 
 
 def test_expand_unknown_symbol():

@@ -42,8 +42,12 @@ def test_errors():
 def test_round_count_exceeded_is_typed_internal_error():
     g = build("abracadabraabracadabra", 0)
     assert g.rounds > 1
+    # Grammar rejects rounds=0 against this start symbol, so the bad copy is
+    # made past its check, to reach pseq's own guard
+    bad = dataclasses.replace(g)
+    object.__setattr__(bad, "rounds", 0)
     with pytest.raises(InternalInvariantError, match="round count"):
-        pseq(dataclasses.replace(g, rounds=0), 0, g.text_len)
+        pseq(bad, 0, g.text_len)
 
 
 def test_exhaustive_small_fragments_against_oracle():
