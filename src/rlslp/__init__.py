@@ -1,6 +1,9 @@
-"""Run-length grammar text index with LCE and internal pattern matching queries."""
+"""Run-length grammar text index with LCE and internal pattern matching queries.
 
-from .builder import build, level_string
+``build`` and ``level_string`` load ``rlslp.builder`` on first use, so a
+program that only loads an index and queries it never imports the builder.
+"""
+
 from .extension import lce, rev_lce
 from .grammar import Grammar
 from .ipm import Progression, ipm_query
@@ -18,3 +21,10 @@ __all__ = [
     "pseq",
     "rev_lce",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in ("build", "level_string"):
+        from . import builder
+        return getattr(builder, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

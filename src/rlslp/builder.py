@@ -46,11 +46,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import BadLevelError, EmptyTextError, IndexFormatError, InternalInvariantError
-from .grammar import Grammar, SymbolTable
+from .grammar import Grammar, Record, SymbolTable
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,11 +105,10 @@ def _coins(seed: int, level: int, d: int) -> bytes:
     return b"".join(out)
 
 
-@dataclass
-class LevelString:
+class LevelString(Record):
     """The symbol sequence after ``level`` shrink rounds (level 0 = the text)."""
-    level: int
-    symbols: list[int]
+
+    __slots__ = ("level", "symbols")
 
 
 def draw_partition(s: LevelString, seed: int) -> set[int]:

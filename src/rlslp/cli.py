@@ -1,6 +1,8 @@
 """Command-line front end: build indexes, answer queries, print stats, self-test.
 
 Text is read as raw bytes mapped to codepoints 0-255 unless --utf8 is given.
+The builder loads on first use, in ``build``, and the oracle in
+``selftest``, so ``query`` and ``stats`` import neither.
 
 Exit codes: 0 success, 1 a selftest trial that disagrees with the oracle
 (``selftest FAILED at trial ..`` on stdout), 2 malformed arguments (a bad
@@ -30,7 +32,6 @@ import os
 import sys
 from contextlib import redirect_stdout
 
-from .builder import build
 from .errors import IndexFormatError, InternalInvariantError, RlslpError
 from .extension import lce, rev_lce
 from .index import FORMAT_VERSION, load_index, save_index
@@ -61,6 +62,7 @@ def _read_text(args) -> str:
 
 
 def _cmd_build(args) -> int:
+    from .builder import build  # the builder loads only for a build
     text = _read_text(args)
     if not text:
         return _fail("input text is empty")

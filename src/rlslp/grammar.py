@@ -12,7 +12,6 @@ serializes the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import IndexFormatError, UnknownSymbolError
@@ -147,8 +146,63 @@ def _reject(keys: list[int], sid: int, fault: str) -> NoReturn:
     raise IndexFormatError(f"invalid symbol {sid}: {fault}")
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Record:
+    """A record whose fields are its class's ``__slots__``, given by position
+    or keyword, equal to a record of its class with equal fields and shown as
+    ``Name(field=value, ...)``: mutable and unhashable, unlike a
+    ``FrozenRecord``.  Not a dataclass, so a query never imports ``dataclasses``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        # An __init__ written per class, as dataclasses writes one, is as fast
+        # as a hand-written one.  It sets each slot past a frozen record's
+        # __setattr__, then runs the class's __post_init__ check if it has one.
+        names = cls.__slots__
+        if not names:
+            return
+        code = [f"def __init__(self, {', '.join(names)}):"]
+        code += [f"    _set_{name}(self, {name})" for name in names]
+        code += ["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+        exec("\n".join(code), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A ``Record`` whose fields cannot be set again or deleted once it is
+    made, hashed as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Grammar(FrozenRecord):
     """Immutable grammar: symbol table, start symbol, round count, seed.
 
     Safe for concurrent reads once built; queries never mutate it.  Made
@@ -156,11 +210,7 @@ class Grammar:
     ``rounds``: else ``IndexFormatError``.
     """
 
-    table: SymbolTable
-    start: int
-    rounds: int
-    seed: int
-    text_len: int
+    __slots__ = ("table", "start", "rounds", "seed", "text_len")
 
     def __post_init__(self) -> None:
         t = self.table

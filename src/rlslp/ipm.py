@@ -24,7 +24,6 @@ Everything runs in O(r) node operations per query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -37,20 +36,18 @@ from .errors import (
     RatioViolationError,
 )
 from .extension import lce, rev_lce
-from .grammar import Grammar
+from .grammar import FrozenRecord, Grammar
 from .navigator import Navigator, leaf
 from .popped import PoppedSeq, Run, pseq
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(FrozenRecord):
     """Arithmetic progression start, start+diff, ..., count terms.
 
     count == 0 encodes the empty set; diff is normalized to 1 when
     count <= 1.
     """
-    start: int
-    diff: int
-    count: int
+
+    __slots__ = ("start", "diff", "count")
 
     @staticmethod
     def of(start: int, diff: int, count: int) -> "Progression":
@@ -74,32 +71,24 @@ class Progression:
 EMPTY_PROGRESSION = Progression(0, 1, 0)
 
 
-@dataclass(frozen=True)
-class ProxyPattern:
+class ProxyPattern(FrozenRecord):
     """Run-length encoded stand-in for the pattern fragment at the proxy level.
 
     Its expansion equals X[left_off, right_cut); exp_len and sym_len are
     the expansion length and the symbol count of the encoded sequence.
     """
-    level: int
-    rle: tuple[Run, ...]
-    left_off: int
-    right_cut: int
-    exp_len: int
-    sym_len: int
+
+    __slots__ = ("level", "rle", "left_off", "right_cut", "exp_len", "sym_len")
 
 
-@dataclass(frozen=True)
-class ProxyText:
+class ProxyText(FrozenRecord):
     """Run-length encoded window of the level string around the middle of Y.
 
     text_start is the text position of its expansion; sym_len == 0 encodes
     an empty window.
     """
-    rle: tuple[Run, ...]
-    text_start: int
-    exp_len: int
-    sym_len: int
+
+    __slots__ = ("rle", "text_start", "exp_len", "sym_len")
 
 
 def _exp_prefix(g: Grammar, runs: Sequence[Run], nsyms: int) -> int:

@@ -11,11 +11,10 @@ refuse texts longer than 512 characters.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import InternalInvariantError, OutOfRangeError, UnknownSymbolError
-from .grammar import Grammar
+from .grammar import Grammar, Record
 
 _ORACLE_CAP = 512
 
@@ -73,19 +72,15 @@ def naive_rev_lce(text: str, i: int, i2: int) -> int:
     return d
 
 
-@dataclass
-class NaivePopped:
+class NaivePopped(Record):
     """Levelwise popped decomposition computed by direct simulation.
 
     xbar[k], left[k], right[k] are plain symbol-id lists; q is the last
     level with a non-empty xbar; proxy_level is the proxy level
     max{k : len(xbar[k]) > k}.
     """
-    xbar: list[list[int]]
-    left: list[list[int]]
-    right: list[list[int]]
-    q: int
-    proxy_level: int
+
+    __slots__ = ("xbar", "left", "right", "q", "proxy_level")
 
 
 def _blocks(seq: list[int], k: int, first: set[int], second: set[int]) -> list[tuple[int, int]]:

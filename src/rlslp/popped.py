@@ -16,28 +16,23 @@ descends forward only, the trailing node backward only, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
-from .grammar import Grammar
+from .grammar import Grammar, Record
 from .navigator import Navigator, leaf
 
 
 Run = tuple  # (sym, exponent): the run sym^exponent of a run-length encoding
 
 
-@dataclass
-class PoppedSeq:
+class PoppedSeq(Record):
     """Popped sequence of a fragment, decomposed by level.
 
     ``left[k]``/``right[k]`` hold L_k/R_k as ``(sym, exponent)`` runs (None when empty).
     ``left_exp[k]`` is the expansion length of L_0..L_{k-1}; ``right_exp[k]``
     that of R_{k-1}..R_0 (both indexed 0..q+1).
     """
-    left: list[Run | None]
-    right: list[Run | None]
-    q: int
-    left_exp: list[int]
-    right_exp: list[int]
+
+    __slots__ = ("left", "right", "q", "left_exp", "right_exp")
 
     def runs(self) -> list[Run]:
         """The run-length encoding of L_0..L_q, R_q..R_0 (no merging needed

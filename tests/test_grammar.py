@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import re
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rlslp.builder import LevelString, build, shrink_pc
 from rlslp.errors import IndexFormatError, UnknownSymbolError
 from rlslp.grammar import PAIR, POWER, TERMINAL, Grammar, SymbolTable
+from rlslp.ipm import EMPTY_PROGRESSION, Progression
 
 from helpers import terminal_columns, text_corpus
 
@@ -96,9 +97,37 @@ def test_grammar_checks_its_start_symbol(field, value, message):
     # is text_len and whose level is rounds, with the loader's messages
     g = build("abracadabraabracadabra", 0)
     assert (len(g.table), g.text_len, g.rounds) == (20, 22, 34)
+    fields = dict(table=g.table, start=g.start, rounds=g.rounds, seed=g.seed,
+                  text_len=g.text_len)
     with pytest.raises(IndexFormatError, match=f"^{re.escape(message)}$"):
-        dataclasses.replace(g, **{field: value})
-    assert dataclasses.replace(g).start == g.start
+        Grammar(**{**fields, field: value})
+    assert Grammar(**fields) == g
+
+
+def test_public_records_compare_hash_and_show_their_fields():
+    p = Progression(3, 2, 5)
+    assert p == Progression(start=3, diff=2, count=5) and p != Progression(3, 2, 4)
+    assert p != (3, 2, 5) and (3, 2, 5) != p
+    assert hash(p) == hash(Progression(3, 2, 5)) == hash((3, 2, 5))
+    assert repr(p) == "Progression(start=3, diff=2, count=5)"
+    assert Progression.of(7, 4, 0) is EMPTY_PROGRESSION
+    assert repr(EMPTY_PROGRESSION) == "Progression(start=0, diff=1, count=0)"
+    g = build("abracadabra", 0)
+    same = Grammar(g.table, g.start, g.rounds, g.seed, g.text_len)
+    assert same == g and hash(same) == hash(g)
+    table = SymbolTable.from_columns(g.table.arg0, g.table.arg1, g.table.level, g.text_len)
+    assert Grammar(table, g.start, g.rounds, g.seed, g.text_len) != g  # another table object
+    for record in (p, EMPTY_PROGRESSION, g):
+        with pytest.raises(AttributeError):
+            record.start = 1
+        with pytest.raises(AttributeError):
+            del record.start
+        assert pickle.loads(pickle.dumps(record)).start == record.start
+    assert pickle.loads(pickle.dumps(p)) == p and EMPTY_PROGRESSION.start == 0
+    with pytest.raises(TypeError):
+        Progression(1, 2)
+    with pytest.raises(TypeError):
+        Progression(1, 2, 3, diff=4)
 
 
 def test_expand_unknown_symbol():

@@ -1,10 +1,10 @@
-import dataclasses
 import random
 
 import pytest
 
 from rlslp.builder import build, level_string
 from rlslp.errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
+from rlslp.grammar import Grammar
 from rlslp.navigator import Navigator
 from rlslp.oracle import naive_pseq_levels
 from rlslp.popped import pseq
@@ -44,7 +44,8 @@ def test_round_count_exceeded_is_typed_internal_error():
     assert g.rounds > 1
     # Grammar rejects rounds=0 against this start symbol, so the bad copy is
     # made past its check, to reach pseq's own guard
-    bad = dataclasses.replace(g)
+    bad = Grammar(table=g.table, start=g.start, rounds=g.rounds, seed=g.seed,
+                  text_len=g.text_len)
     object.__setattr__(bad, "rounds", 0)
     with pytest.raises(InternalInvariantError, match="round count"):
         pseq(bad, 0, g.text_len)
