@@ -4,7 +4,8 @@ A query starts from the highest nodes whose fragments begin at the two
 positions and repeatedly either descends into the wider node, advances
 both nodes past a shared symbol, or jumps over a shared sibling run.  The
 reverse query runs the same walk backward, from the highest nodes whose
-fragments end at the two positions.
+fragments end at the two positions.  Equal positions need no walk: the
+answer is the suffix (prefix) length, charged no step.
 
 The walk is one loop in one frame: after the two descents from the root,
 each cursor is held as three locals, and its moves (``ahead``, ``jump``,
@@ -25,6 +26,8 @@ def _extension(g: Grammar, i: int, i2: int, forward: bool, nav: Navigator | None
     n = g.text_len
     if not (0 <= i <= n and 0 <= i2 <= n):
         raise OutOfRangeError(f"positions ({i}, {i2}) outside [0, {n}]")
+    if i == i2:  # a suffix (prefix) with itself: no walk
+        return n - i if forward else i
     end = n if forward else 0
     if i == end or i2 == end:
         return 0

@@ -157,15 +157,18 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         # An __init__ written per class, as dataclasses writes one, is as fast
-        # as a hand-written one.  It sets each slot past a frozen record's
-        # __setattr__, then runs the class's __post_init__ check if it has one.
+        # as a hand-written one.  It sets each slot plainly, or through the
+        # slot's descriptor past a frozen record's __setattr__, then runs the
+        # class's __post_init__ check if it has one.
         names = cls.__slots__
         if not names:
             return
+        frozen = cls.__setattr__ is not object.__setattr__
         code = [f"def __init__(self, {', '.join(names)}):"]
-        code += [f"    _set_{name}(self, {name})" for name in names]
+        code += [f"    _set_{name}(self, {name})" if frozen else f"    self.{name} = {name}"
+                 for name in names]
         code += ["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names} if frozen else {}
         exec("\n".join(code), scope)
         cls.__init__ = scope["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -221,16 +221,11 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     level = pp.level
     m = y + (y2 - y) // 2
 
-    # lift T[m] to level+1, one ``up`` move per level, inline
-    v = leaf(nav, m)
-    m_node = v  # proxy-level ancestor of T[m]
-    for k in range(1, level + 2):
-        par = v[2]
-        if par is not None and lvl[par[1]] == k:
-            v = par
-        if k == level:
-            m_node = v
-    c = level + 1
+    # T[m]'s proxy-level node, then its level-(level+1) node by one ``up``
+    m_node = leaf(nav, m, level)
+    par = m_node[2]
+    v = par if par is not None and lvl[par[1]] == level + 1 else m_node
+    c = 1
 
     # the block of T[m] at level+1, expanded; m_node is symbol i of it
     top = level + 1
@@ -509,7 +504,9 @@ def verify_progression(g: Grammar, v: Progression, gstep: int, pp: ProxyPattern,
     decide, in bulk, which candidates extend to occurrences of X: either
     the period gstep extends through all of X and a closed-form index range
     answers, or the period breaks somewhere in X and at most one alignment
-    survives.  Occurrences sticking out of Y are filtered.
+    survives.  Occurrences sticking out of Y are filtered.  A single
+    candidate at X's own position needs no LCE walk: ``lce`` of a position
+    with itself is its suffix length, charged no step.
     """
     if v.count == 0:
         return EMPTY_PROGRESSION

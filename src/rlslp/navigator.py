@@ -15,11 +15,19 @@ created above it.
 Moves take ``forward``: True walks towards the end of the text, False
 towards its start.  Positions are always plain text positions.
 
-The engine is ``leaf`` and ``highest``, which descend from the root and
-charge two steps per level to the ``Navigator`` they are given.  Every
-other move is done inline by the query loops on ``Navigator.cols``, which
-charge a local counter and add it to ``Navigator.steps`` once per call,
-by these rules:
+The engine is three descents from the root, each charging two steps per
+level descended to the ``Navigator`` it is given:
+
+- ``leaf(nav, j, k=0)`` stops at the level-k node over T[j] (the terminal
+  for k = 0), so ``proxy_text`` reaches T[m]'s proxy-level node directly;
+- ``leaves(nav, j, j2)`` descends once to the deepest node that holds both
+  j <= j2 and from there once to each: ``pseq`` takes X's two ends so;
+- ``highest(nav, i, forward)`` stops at the highest node whose fragment
+  starts (ends) at i, where LCE starts.
+
+Every other move is done inline by the query loops on ``Navigator.cols``,
+which charge a local counter and add it to ``Navigator.steps`` once per
+call, by these rules:
 
 - a single move costs one step: ``up`` (the level-(k+1) node above a
   level-k node) in ``pseq`` and ``proxy_text``; ``ahead``, ``jump`` and
@@ -77,12 +85,47 @@ def _descend(nav: Navigator, j: int, lo: int, hi: int) -> Cursor:
     return v
 
 
-def leaf(nav: Navigator, j: int) -> Cursor:
-    """Terminal cursor at text position ``j``, with its full ancestor chain."""
+def _down(nav: Navigator, v: Cursor, j: int, k: int) -> Cursor:
+    """Level-``k`` cursor over text position ``j`` below ``v``, which holds it."""
+    lvl, a0, a1, ln = nav.cols
+    pos, s, _ = v
+    c = 0
+    while lvl[s] > k:
+        b = a0[s]
+        if lvl[s] & 1:  # a power
+            pos += (j - pos) // ln[b] * ln[b]
+        elif j >= pos + ln[b]:  # a pair whose right child holds j
+            pos += ln[b]
+            b = a1[s]
+        v = (pos, b, v)
+        s = b
+        c += 2
+    nav.steps += c
+    return v
+
+
+def leaf(nav: Navigator, j: int, k: int = 0) -> Cursor:
+    """Level-``k`` cursor over text position ``j`` (the terminal for k = 0),
+    with its full ancestor chain."""
     n = nav.g.text_len
     if not (0 <= j < n):
         raise OutOfRangeError(f"position {j} outside [0, {n})")
-    return _descend(nav, j, j, j + 1)
+    return _down(nav, (0, nav.g.start, None), j, k)
+
+
+def leaves(nav: Navigator, j: int, j2: int) -> tuple[Cursor, Cursor]:
+    """Terminal cursors at text positions ``j`` <= ``j2``, descended together
+    from the root to the deepest node that holds both, then apart."""
+    n = nav.g.text_len
+    if not (0 <= j <= j2 < n):
+        raise OutOfRangeError(f"positions ({j}, {j2}) not in order inside [0, {n})")
+    if j == j2:
+        v = leaf(nav, j)
+        return v, v
+    # the highest node over j that ends before j2 is the child, on j's path,
+    # of the deepest node holding both: no level is descended twice
+    u = _descend(nav, j, 0, j2)
+    return _down(nav, u, j, 0), _down(nav, u[2], j2, 0)
 
 
 def highest(nav: Navigator, i: int, forward: bool) -> Cursor:

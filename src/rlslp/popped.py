@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import EmptyFragmentError, InternalInvariantError, OutOfRangeError
 from .grammar import Grammar, Record
-from .navigator import Navigator, leaf
+from .navigator import Navigator, leaves
 
 
 Run = tuple  # (sym, exponent): the run sym^exponent of a run-length encoding
@@ -50,7 +50,8 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
     and descends forward only, ``hi`` backward only, each to the next
     level's string as ``rlslp.navigator`` describes.  The moves charge one
     local counter, added to ``nav.steps`` once, and the expansion offsets
-    are summed as the blocks are popped.
+    are summed as the blocks are popped.  X's two end characters are
+    reached by one shared descent from the root (``leaves``).
     """
     if not (0 <= x_start and x_end <= g.text_len):
         raise OutOfRangeError(f"fragment [{x_start}, {x_end}) outside [0, {g.text_len})")
@@ -59,8 +60,7 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
     if nav is None:
         nav = Navigator(g)
     lvl, a0, a1, ln = nav.cols
-    lo = leaf(nav, x_start)
-    hi = leaf(nav, x_end - 1)
+    lo, hi = leaves(nav, x_start, x_end - 1)
 
     left: list[Run | None] = []
     right: list[Run | None] = []

@@ -9,7 +9,7 @@ from rlslp.errors import (BadLevelError, EmptyFragmentError, IndexFormatError,
                           InternalInvariantError, OutOfRangeError)
 from rlslp.grammar import PAIR, POWER, TERMINAL, SymbolTable
 from rlslp.ipm import ProxyText
-from rlslp.navigator import highest, leaf
+from rlslp.navigator import highest, leaf, leaves
 
 ALPHABETS = (1, 2, 4, 26)
 
@@ -176,7 +176,7 @@ def _ref_pop(nav, v, v_p, k, forward):
 
 def ref_pseq(nav, x_start, x_end):
     """``(left, right)`` of ``pseq(g, x_start, x_end)``, popped by single moves."""
-    lo, hi = leaf(nav, x_start), leaf(nav, x_end - 1)
+    lo, hi = leaves(nav, x_start, x_end - 1)
     left, right = [], []
     for k in range(nav.g.rounds + 2):
         lo_p, hi_p = up(nav, lo, k), up(nav, hi, k)
@@ -197,7 +197,9 @@ def ref_pseq(nav, x_start, x_end):
 
 def ref_lce(nav, i, i2, forward):
     """``lce`` (forward) or ``rev_lce`` (backward) of positions ``i`` and
-    ``i2`` in range, walked by single moves."""
+    ``i2`` in range, walked by single moves; equal positions need no walk."""
+    if i == i2:
+        return nav.g.text_len - i if forward else i
     end = nav.g.text_len if forward else 0
     if i == end or i2 == end:
         return 0
@@ -238,16 +240,9 @@ def ref_proxy_text(g, y, y2, pp, nav):
     level = pp.level
     m = y + (y2 - y) // 2
 
-    # lift T[m] to level+1, one ``up`` move per level, inline
-    v = leaf(nav, m)
-    m_node = v  # proxy-level ancestor of T[m]
-    for k in range(1, level + 2):
-        par = v[2]
-        if par is not None and lvl[par[1]] == k:
-            v = par
-        if k == level:
-            m_node = v
-    nav.steps += level + 1
+    # T[m]'s proxy-level node, then its level-(level+1) node by ``up``
+    m_node = leaf(nav, m, level)
+    v = up(nav, m_node, level)
 
     # the block of T[m] at level+1 and the blocks rules (a)-(c) keep beside it
     top = level + 1

@@ -1,6 +1,6 @@
 """The query modules import only the navigation engine.
 
-``rlslp.navigator`` is ``Navigator``, ``leaf`` and ``highest``.  The query
+``rlslp.navigator`` is ``Navigator``, ``leaf``, ``leaves`` and ``highest``.  The query
 loops do every other move (``up``, ``ahead``, ``jump``, ``first_child`` and
 the climb-and-descend walk) inline, so a per-move function call cannot come
 back into a query loop through an import.
@@ -13,7 +13,7 @@ import rlslp
 
 PACKAGE = Path(rlslp.__file__).parent
 QUERY = ("popped.py", "extension.py", "ipm.py")
-ENGINE = {"Navigator", "leaf", "highest"}
+ENGINE = {"Navigator", "leaf", "leaves", "highest"}
 
 
 def _navigator_imports(name):

@@ -23,6 +23,7 @@ from rlslp.ipm import (
 )
 from rlslp.navigator import Navigator, leaf
 from rlslp.oracle import naive_occ, naive_proxy_text, naive_pseq_levels
+from rlslp.popped import pseq
 
 from helpers import random_ipm_pair, random_text, ref_proxy_text, text_corpus
 
@@ -287,6 +288,33 @@ def test_hand_case_overlapping_runs():
     g = build("aaaaaa", 0)
     occ = ipm_query(g, 0, 2, 1, 4)
     assert (occ.start, occ.diff, occ.count) == (1, 1, 2)
+
+
+def test_unique_occurrence_costs_no_lce_walk():
+    # Y covers X's only occurrence and holds the proxy pattern's expansion
+    # once: the one candidate is X itself, verified by an LCE of x with
+    # itself, so the query charges its pseq and proxy_text and nothing else
+    rng = random.Random(97)
+    checked = 0
+    for trial in range(40):
+        text = random_text(rng, 400, (4, 26)[trial % 2], min_len=200)
+        g = build(text, trial)
+        n = len(text)
+        for _ in range(20):
+            xl = rng.randint(1, 60)
+            x = rng.randint(0, n - xl)
+            yl = rng.randint(xl, min(2 * xl - 1, n))
+            y = rng.randint(max(0, x + xl - yl), min(x, n - yl))
+            pp = proxy_pattern(g, x, x + xl)
+            if len(naive_occ(text, x + pp.left_off, x + pp.right_cut, y, y + yl)) != 1:
+                continue
+            nav, ps_nav, pt_nav = Navigator(g), Navigator(g), Navigator(g)
+            assert ipm_query(g, x, x + xl, y, y + yl, nav) == Progression(x, 1, 1)
+            pseq(g, x, x + xl, ps_nav)
+            proxy_text(g, y, y + yl, pp, pt_nav)
+            assert nav.steps == ps_nav.steps + pt_nav.steps, (text, trial, x, xl, y, yl)
+            checked += 1
+    assert checked >= 300
 
 
 def test_ratio_violation():

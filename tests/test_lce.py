@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
 from rlslp import lce, rev_lce
 from rlslp.builder import build
+from rlslp.cli import load_index, save_index
 from rlslp.errors import OutOfRangeError
 from rlslp.navigator import Navigator
 from rlslp.oracle import naive_lce, naive_rev_lce
@@ -11,10 +13,33 @@ from rlslp.oracle import naive_lce, naive_rev_lce
 from helpers import random_text, text_corpus
 
 
-def test_identical_suffixes():
-    g = build("abcde", 0)
-    for i in range(6):
-        assert lce(g, i, i) == 5 - i
+def _fibonacci(n):
+    fib = ["a", "ab"]
+    while len(fib[-1]) < n:
+        fib.append(fib[-1] + fib[-2])
+    return fib[-1][:n]
+
+
+def test_identical_suffixes(tmp_path):
+    # a position against itself: the suffix (prefix) length, with no step,
+    # on built and loaded grammars alike
+    texts = ["abcde", _fibonacci(89), "a" * 77,
+             random_text(random.Random(67), 120, 4, min_len=120)]
+    for t, text in enumerate(texts):
+        built = build(text, t)
+        save_index(built, tmp_path / f"{t}.idx")
+        for g in (built, load_index(tmp_path / f"{t}.idx")):
+            n = g.text_len
+            nav = Navigator(g)
+            for i in range(n + 1):
+                assert (lce(g, i, i, nav), rev_lce(g, i, i, nav)) == (n - i, i), (text, i)
+            assert nav.steps == 0, text
+            with pytest.raises(OutOfRangeError, match=re.escape(
+                    f"positions ({n + 1}, {n + 1}) outside [0, {n}]")):
+                lce(g, n + 1, n + 1, nav)
+            with pytest.raises(OutOfRangeError, match=re.escape(
+                    f"positions (-1, -1) outside [0, {n}]")):
+                rev_lce(g, -1, -1, nav)
 
 
 def test_hand_cases():

@@ -7,7 +7,7 @@ from rlslp.builder import level_string
 from rlslp.cli import load_index, save_index
 from rlslp.errors import OutOfRangeError
 from rlslp.grammar import PAIR, POWER, TERMINAL
-from rlslp.navigator import highest, leaf
+from rlslp.navigator import highest, leaf, leaves
 
 from helpers import (ahead, climb, first_child, jump, random_ipm_pair, ref_climb, ref_lce,
                      ref_pseq, ref_step, step, text_corpus, up)
@@ -135,6 +135,45 @@ def test_leaf_positions_and_symbols():
         leaf(nav, 2)
     with pytest.raises(OutOfRangeError):
         leaf(nav, -1)
+
+
+def _chain(v):
+    """``(pos, sym)`` of ``v`` and its ancestors, from the root down."""
+    out = []
+    while v is not None:
+        out.append(v[:2])
+        v = v[2]
+    return out[::-1]
+
+
+def test_leaf_stops_at_level_k(tmp_path):
+    # leaf(nav, j, k) is the level-k node over T[j] that ``up`` moves reach
+    # from the terminal, and costs two steps per level it descends
+    for g in _built_and_loaded(tmp_path, 8, 64, 71):
+        nav = Navigator(g)
+        for j in range(g.text_len):
+            for k in range(g.rounds + 2):
+                v, cost = _charged(nav, leaf, j, k)
+                assert v == _at_level(nav, j, k), (j, k)
+                assert cost == 2 * (len(_chain(v)) - 1), (j, k)
+
+
+def test_leaves_descend_together(tmp_path):
+    # leaves(nav, j, j2) gives leaf(nav, j) and leaf(nav, j2), and charges
+    # the descent to their deepest common ancestor once
+    for g in _built_and_loaded(tmp_path, 8, 48, 73):
+        nav = Navigator(g)
+        n = g.text_len
+        for j in range(n):
+            for j2 in range(j, n):
+                (a, b), cost = _charged(nav, leaves, j, j2)
+                assert (a, b) == (leaf(nav, j), leaf(nav, j2)), (j, j2)
+                ca, cb = _chain(a), _chain(b)
+                shared = sum(1 for u, w in zip(ca, cb) if u == w)
+                assert cost == 2 * (len(ca) + len(cb) - shared - 1), (j, j2)
+        for j, j2 in ((1, 0), (-1, 0), (0, n)):
+            with pytest.raises(OutOfRangeError):
+                leaves(nav, j, j2)
 
 
 def test_handle_persistence():
@@ -338,4 +377,4 @@ def test_step_totals_pinned():
                 before = nav.steps
                 call()
                 totals[name] += nav.steps - before
-    assert totals == {"lce": 17352, "rev_lce": 17237, "pseq": 65010, "ipm_query": 133389}
+    assert totals == {"lce": 16868, "rev_lce": 16729, "pseq": 64052, "ipm_query": 113871}
