@@ -4,10 +4,10 @@ The query requires |Y| < 2|X|, which forces every occurrence of X to cover
 the middle position of Y and makes the answer a single arithmetic
 progression of start positions.  The pipeline:
 
-1. Pop the pattern level by level, then find its proxy level, the
-   deepest level where the shrunken pattern still has more symbols than
-   its level number, and expand the popped runs above it straight down
-   to that level in one pass.
+1. Pop the pattern level by level, then rebuild the shrunken pattern from
+   the top level down, one level at a time, until it has more symbols
+   than its level number: that level is the proxy level, the deepest
+   where this holds.
 2. Cut a proxy window out of the text's level string around the middle of
    Y, just wide enough to contain the induced occurrence of every
    occurrence of X in Y.  The block walk behind it stops on each side at
@@ -110,79 +110,77 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
                   ps: PoppedSeq | None = None) -> ProxyPattern:
     """Compute the proxy level and the run-length encoding of the shrunken pattern.
 
-    The level is found by sweeping the popped sequence from the deepest
-    level downward, keeping the shrunken pattern's symbol multiset in a
-    bucket queue keyed by symbol level.  Level k adds L_k and R_k, expands
-    every level-(k+1) symbol and then tests the size once: expanding never
-    shrinks the pattern, so the first k whose size exceeds k is the level
-    however often the size is tested.  One pass then expands L_level..L_q,
-    R_q..R_level straight down to the level with an explicit stack, merging
-    equal neighbours.  The
-    result has at most 2*level+4 runs: each of the at most level+1
-    level-(level+1) symbols gives at most two, L_level and R_level one each.
+    One pass from the top level q down builds each shrunken pattern X̄_k
+    from the one above it, run-length encoded with equal neighbours merged:
+    by the popped-sequence identity X̄_k is L_k, then X̄_{k+1} with each
+    level-(k+1) symbol expanded one level, then R_k.  The proxy level is
+    the largest k whose pattern has more than k symbols, so the first such
+    k from the top is the level, and the pass stops there with that
+    pattern.  Each level touches only its own pattern's runs, at most k of
+    them above the proxy level, where the pattern has at most k symbols.
+    The result has at most 2*level+4 runs: the pattern one level up has at
+    most level+1 symbols, each gives at most two, and L_level and R_level
+    one each.
     """
     if x2 <= x:
         raise EmptyFragmentError("proxy pattern of an empty fragment")
     if ps is None:
         ps = pseq(g, x, x2, nav)
     t = g.table
-    lvl, a0, a1 = t.level, t.arg0, t.arg1
-    q = ps.q
+    lvl, a0, a1, explen = t.level, t.arg0, t.arg1, t.explen
 
-    # ---- locate the proxy level ----
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(q + 2)]
-    size = 0
-    for level in range(q, -1, -1):
-        for run in (ps.left[level], ps.right[level]):
-            if run is not None:
-                buckets[lvl[run[0]]].append(run)
-                size += run[1]
-        for sym, mult in buckets[level + 1]:  # round level+1 made them all
-            b, c = a0[sym], a1[sym]
-            if level & 1:  # pairs
-                buckets[lvl[b]].append((b, mult))
-                buckets[lvl[c]].append((c, mult))
-                size += mult
-            else:  # powers: c is the exponent
-                buckets[lvl[b]].append((b, c * mult))
-                size += (c - 1) * mult
+    out: list[Run] = []
+    size = 0  # symbols in out
+    for level in range(ps.q, -1, -1):
+        top = level + 1
+        # new: the pattern at this level; last: its last run's symbol, or -1
+        run = ps.left[level]
+        if run is None:
+            new, last = [], -1
+        else:
+            new, last = [run], run[0]
+            size += run[1]
+        run = ps.right[level]
+        if run is not None:  # R_level: below top, so only merged
+            out.append(run)
+            size += run[1]
+        for sym, m in out:
+            if lvl[sym] == top:  # made in round top: expand it one level
+                b = a0[sym]
+                if top & 1:  # a power: arg1 is the exponent
+                    e = a1[sym]
+                    size += (e - 1) * m
+                    sym, m = b, e * m
+                else:  # a pair, m times: B, (C, B) * (m - 1), C
+                    size += m
+                    if b == last:
+                        new[-1] = (b, new[-1][1] + 1)
+                    else:
+                        new.append((b, 1))
+                    last = a1[sym]
+                    new += [(last, 1), (b, 1)] * (m - 1)
+                    new.append((last, 1))
+                    continue
+            if sym == last:
+                new[-1] = (sym, new[-1][1] + m)
+            else:
+                new.append((sym, m))
+                last = sym
+        out = new
         if size > level:
             break
     else:
         raise InternalInvariantError("proxy level not found: the pattern cannot be empty")
-
-    # ---- expand the popped runs straight down to the level ----
-    # a stack of runs still to expand, the next one on top
-    stack = [run for run in (*ps.right[level:], *reversed(ps.left[level:])) if run is not None]
-    out: list[Run] = []
-    while stack:
-        sym, mult = stack.pop()
-        if lvl[sym] <= level:
-            if out and out[-1][0] == sym:
-                out[-1] = (sym, out[-1][1] + mult)
-            else:
-                out.append((sym, mult))
-        elif lvl[sym] & 1:  # a power
-            stack.append((a0[sym], a1[sym] * mult))
-        else:  # a pair, mult times: its left child on top
-            stack += ((a1[sym], 1), (a0[sym], 1)) * mult
     if len(out) > 2 * level + 4:
         raise InternalInvariantError("proxy pattern has more runs than its level allows")
 
     left_off = ps.left_exp[level]
     right_cut = (x2 - x) - ps.right_exp[level]
     exp_len = right_cut - left_off
-    sym_len = total = 0
-    explen = t.explen
-    for sym, e in out:
-        sym_len += e
-        total += e * explen[sym]
-    if exp_len != total:
+    if exp_len != sum([e * explen[sym] for sym, e in out]):
         raise InternalInvariantError("proxy pattern does not expand to its window of X")
-    if sym_len <= level:
-        raise InternalInvariantError("proxy pattern not longer than its level")
     return ProxyPattern(level=level, rle=tuple(out), left_off=left_off,
-                        right_cut=right_cut, exp_len=exp_len, sym_len=sym_len)
+                        right_cut=right_cut, exp_len=exp_len, sym_len=size)
 
 
 def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,

@@ -10,6 +10,7 @@ from rlslp.errors import (
     OutOfRangeError,
     RatioViolationError,
 )
+from rlslp.grammar import Grammar, SymbolTable
 from rlslp.ipm import (
     EMPTY_PROGRESSION,
     Progression,
@@ -54,8 +55,22 @@ def test_proxy_pattern_empty_rejected():
         proxy_pattern(g, 1, 1)
 
 
+def _fibonacci_prefix(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+# periodic texts whose patterns hold runs of one pair, which the proxy
+# pattern's pass expands as B, (C, B) * (m - 1), C
+PAIR_RUN_TEXTS = ("ab" * 24, ("abc" * 3 + "d") * 4, _fibonacci_prefix(48), "aab" * 16,
+                  ("ab" * 5 + "c") * 4)
+
+
 def test_proxy_pattern_matches_oracle_level_and_window():
-    for text, seed in text_corpus(20, 48, seed=67):
+    periodic = [(text, seed) for seed, text in enumerate(PAIR_RUN_TEXTS)]
+    for text, seed in [*text_corpus(20, 48, seed=67), *periodic]:
         g = build(text, seed)
         n = len(text)
         for x in range(n):
@@ -68,9 +83,35 @@ def test_proxy_pattern_matches_oracle_level_and_window():
                 assert pp.sym_len == len(flat) and pp.sym_len > pp.level
                 # the encoded window expands to X[left_off, right_cut)
                 assert "".join(g.expand(s) for s in flat) == text[x + pp.left_off:x + pp.right_cut]
-                # maximality of adjacent runs
+                # maximality of adjacent runs, and the run bound
                 assert all(pp.rle[i][0] != pp.rle[i + 1][0]
                            for i in range(len(pp.rle) - 1))
+                assert len(pp.rle) <= 2 * pp.level + 4
+
+
+def test_proxy_pattern_merges_equal_neighbours_of_hand_made_grammars():
+    # grammars the loader accepts but the builder never makes, as
+    # (arg0, arg1, level) columns: b a | a b shares a child between two
+    # pairs of one round, and a (b (b a)) a leaves b b unmerged, so
+    # expanding a pattern one level puts equal symbols side by side,
+    # once from R_1 and once from a pair's left child
+    for cols, start, text in (
+            (([98, 97, 0, 1, 2], [0, 0, 1, 0, 3], [0, 0, 2, 2, 4]), 4, "baab"),
+            (([97, 98, 1, 1, 3, 0], [0, 0, 0, 2, 0, 4], [0, 0, 2, 4, 6, 8]), 5, "abbaa")):
+        n = len(text)
+        g = Grammar(table=SymbolTable.from_columns(*cols, n), start=start,
+                    rounds=cols[2][start], seed=0, text_len=n)
+        assert g.expand(start) == text
+        merged = 0
+        for x in range(n):
+            for x2 in range(x + 1, n + 1):
+                pp = proxy_pattern(g, x, x2)
+                ora = naive_pseq_levels(g, x, x2)
+                assert pp.level == ora.proxy_level, (text, x, x2)
+                assert [s for s, e in pp.rle for _ in range(e)] == ora.xbar[pp.level]
+                assert all(a[0] != b[0] for a, b in zip(pp.rle, pp.rle[1:])), (text, x, x2)
+                merged += any(e > 1 for _, e in pp.rle)
+        assert merged >= 2
 
 
 # ------------------------------------------------------------------ proxy text

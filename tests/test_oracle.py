@@ -5,7 +5,7 @@ import pytest
 from rlslp.builder import LevelString, build, draw_partition, shrink_pc, shrink_rle
 from rlslp.errors import OutOfRangeError
 from rlslp.grammar import Grammar, SymbolTable
-from rlslp.ipm import ipm_query
+from rlslp.ipm import ipm_query, proxy_pattern
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce, naive_rle_match
 from rlslp.popped import pseq
 
@@ -97,7 +97,8 @@ def _parity_build(text, seed):
 def test_oracle_runs_on_grammars_built_without_the_coin():
     # the oracle reads each round's merge sets off the table, so it needs
     # no coin to replay: on grammars whose pair rounds merged by another
-    # partition it must still equal pseq, and ipm_query must stay exact
+    # partition it must still equal pseq and give proxy_pattern's level and
+    # pattern, and ipm_query must stay exact
     rng = random.Random(2023)
     differ = frags = 0
     for text, seed in text_corpus(150, 96, seed=23):
@@ -113,6 +114,12 @@ def test_oracle_runs_on_grammars_built_without_the_coin():
             for k in range(ps.q + 1):
                 for got, want in ((ps.left[k], ora.left[k]), (ps.right[k], ora.right[k])):
                     assert ([got[0]] * got[1] if got else []) == want, (text, x, x2, k)
+            # the proxy pattern, from the same popped sequence
+            pp = proxy_pattern(g, x, x2, ps=ps)
+            assert pp.level == ora.proxy_level, (text, x, x2)
+            assert [s for s, e in pp.rle for _ in range(e)] == ora.xbar[pp.level], (text, x, x2)
+            assert all(a[0] != b[0] for a, b in zip(pp.rle, pp.rle[1:])), (text, x, x2)
+            assert len(pp.rle) <= 2 * pp.level + 4, (text, x, x2)
             frags += 1
             x, x2, y, y2 = random_ipm_pair(rng, n)
             assert list(ipm_query(g, x, x2, y, y2).positions()) == \
