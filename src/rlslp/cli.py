@@ -36,6 +36,7 @@ from .errors import IndexFormatError, InternalInvariantError, RlslpError
 from .extension import lce, rev_lce
 from .index import FORMAT_VERSION, load_index, save_index
 from .ipm import ipm_query
+from .navigator import Navigator
 
 
 def _fail(message: object) -> int:
@@ -134,6 +135,8 @@ def _cmd_stats(args) -> int:
     print(f"seed: {g.seed}")
     print(f"format_version: {FORMAT_VERSION}")  # the one version load_index reads
     print(f"index_bytes_per_char: {os.path.getsize(args.index) / g.text_len:.3f}")
+    bound, _, tops = Navigator(g).frontier
+    print(f"descent_frontier: {len(tops)} nodes, {bound} chars")
     return 0
 
 

@@ -34,6 +34,10 @@ class RatioViolationError(RlslpError):
     """IPM queries require the text window to be shorter than twice the pattern."""
 
 
+class ForeignNavigatorError(RlslpError):
+    """A ``Navigator`` passed with a grammar of another table or start symbol."""
+
+
 class IndexFormatError(RlslpError):
     """Serialized index file is malformed."""
 

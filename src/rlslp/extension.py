@@ -7,7 +7,7 @@ reverse query runs the same walk backward, from the highest nodes whose
 fragments end at the two positions.  Equal positions need no walk: the
 answer is the suffix (prefix) length, charged no step.
 
-The walk is one loop in one frame: after the two descents from the root,
+The walk is one loop in one frame: after the two ``highest`` descents,
 each cursor is held as three locals, and its moves (``ahead``, ``jump``,
 ``first_child`` and the climb) are done inline on the navigator's columns.
 They charge what the single moves charge: one per sibling count, jump and
@@ -23,6 +23,7 @@ from .navigator import Navigator, highest
 
 
 def _extension(g: Grammar, i: int, i2: int, forward: bool, nav: Navigator | None) -> int:
+    nav = Navigator.of(g, nav)
     n = g.text_len
     if not (0 <= i <= n and 0 <= i2 <= n):
         raise OutOfRangeError(f"positions ({i}, {i2}) outside [0, {n}]")
@@ -31,8 +32,6 @@ def _extension(g: Grammar, i: int, i2: int, forward: bool, nav: Navigator | None
     end = n if forward else 0
     if i == end or i2 == end:
         return 0
-    if nav is None:
-        nav = Navigator(g)
     lvl, a0, a1, ln = nav.cols
     p, s, par = highest(nav, i, forward)
     p2, s2, par2 = highest(nav, i2, forward)

@@ -32,12 +32,24 @@ class SymbolTable:
     perfbench, and no other module of the package reads it.  A table is made
     only by ``from_columns``, from the columns the builder appends to or an
     index file holds, so every table the package holds has passed its checks.
+
+    ``frontiers`` is a cache, not a record field: ``rlslp.navigator``'s
+    descent frontier per start symbol, a function of the columns, added by
+    the first query of that start symbol.  It is empty in a new table and
+    left out of a pickle or copy.
     """
 
-    __slots__ = ("arg0", "arg1", "level", "explen")
+    __slots__ = ("arg0", "arg1", "level", "explen", "frontiers")
 
     def __len__(self) -> int:
         return len(self.level)
+
+    def __getstate__(self) -> tuple:
+        return self.arg0, self.arg1, self.level, self.explen
+
+    def __setstate__(self, state: tuple) -> None:
+        self.arg0, self.arg1, self.level, self.explen = state
+        self.frontiers = {}
 
     @classmethod
     def from_columns(cls, arg0: list[int], arg1: list[int], level: list[int],
@@ -95,6 +107,7 @@ class SymbolTable:
             _reject_duplicate(keys, count)
         table = cls.__new__(cls)
         table.arg0, table.arg1, table.level, table.explen = arg0, arg1, level, explen
+        table.frontiers = {}
         return table
 
     @property
@@ -208,7 +221,10 @@ class FrozenRecord(Record):
 class Grammar(FrozenRecord):
     """Immutable grammar: symbol table, start symbol, round count, seed.
 
-    Safe for concurrent reads once built; queries never mutate it.  Made
+    Safe for concurrent reads once built.  Queries never mutate its
+    fields; the first query of a grammar adds its descent frontier to the
+    table's ``frontiers`` cache, a function of the grammar alone, so
+    concurrent first queries build equal frontiers and either one is kept.  Made
     only with a start in the table, of explen ``text_len`` and level
     ``rounds``: else ``IndexFormatError``.
     """

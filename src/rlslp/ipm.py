@@ -122,6 +122,7 @@ def proxy_pattern(g: Grammar, x: int, x2: int, nav: Navigator | None = None,
     most level+1 symbols, each gives at most two, and L_level and R_level
     one each.
     """
+    nav = Navigator.of(g, nav)
     if x2 <= x:
         raise EmptyFragmentError("proxy pattern of an empty fragment")
     if ps is None:
@@ -209,12 +210,11 @@ def proxy_text(g: Grammar, y: int, y2: int, pp: ProxyPattern,
     block: when the middle position's ancestor lies deep inside a long
     power, runs of several blocks fall outside the window.
     """
+    nav = Navigator.of(g, nav)
     if y2 <= y:
         raise EmptyFragmentError("proxy text of an empty fragment")
     if not (0 <= y and y2 <= g.text_len):
         raise OutOfRangeError(f"fragment [{y}, {y2}) outside [0, {g.text_len})")
-    if nav is None:
-        nav = Navigator(g)
     lvl, a0, a1, ln = nav.cols
     level = pp.level
     m = y + (y2 - y) // 2
@@ -506,10 +506,9 @@ def verify_progression(g: Grammar, v: Progression, gstep: int, pp: ProxyPattern,
     candidate at X's own position needs no LCE walk: ``lce`` of a position
     with itself is its suffix length, charged no step.
     """
+    nav = Navigator.of(g, nav)
     if v.count == 0:
         return EMPTY_PROGRESSION
-    if nav is None:
-        nav = Navigator(g)
     xlen = x2 - x
     head = pp.left_off      # X-offset where the encoded window starts
     cut = pp.right_cut      # X-offset where the encoded window ends
@@ -582,6 +581,7 @@ def ipm_query(g: Grammar, x: int, x2: int, y: int, y2: int,
     Requires |Y| < 2|X|, which guarantees the result is one arithmetic
     progression.
     """
+    nav = Navigator.of(g, nav)
     n = g.text_len
     if not (0 <= x <= n and 0 <= x2 <= n and 0 <= y <= n and 0 <= y2 <= n):
         raise OutOfRangeError(f"fragments ([{x},{x2}), [{y},{y2})) outside [0, {n}]")
@@ -595,8 +595,6 @@ def ipm_query(g: Grammar, x: int, x2: int, y: int, y2: int,
             f"|Y| = {y2 - y} must be smaller than 2|X| = {2 * (x2 - x)}")
     if y2 - y < x2 - x:
         return EMPTY_PROGRESSION
-    if nav is None:
-        nav = Navigator(g)
     pp = proxy_pattern(g, x, x2, nav)
     pt = proxy_text(g, y, y2, pp, nav)
     if pt.sym_len < pp.sym_len:

@@ -51,14 +51,13 @@ def pseq(g: Grammar, x_start: int, x_end: int, nav: Navigator | None = None) -> 
     level's string as ``rlslp.navigator`` describes.  The moves charge one
     local counter, added to ``nav.steps`` once, and the expansion offsets
     are summed as the blocks are popped.  X's two end characters are
-    reached by one shared descent from the root (``leaves``).
+    reached by one shared descent (``leaves``).
     """
+    nav = Navigator.of(g, nav)
     if not (0 <= x_start and x_end <= g.text_len):
         raise OutOfRangeError(f"fragment [{x_start}, {x_end}) outside [0, {g.text_len})")
     if x_end <= x_start:
         raise EmptyFragmentError("popped sequence of an empty fragment")
-    if nav is None:
-        nav = Navigator(g)
     lvl, a0, a1, ln = nav.cols
     lo, hi = leaves(nav, x_start, x_end - 1)
 

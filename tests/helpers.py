@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 
-from rlslp.builder import LevelString
+from rlslp.builder import LevelString, draw_partition, shrink_pc, shrink_rle
 from rlslp.errors import (BadLevelError, EmptyFragmentError, IndexFormatError,
                           InternalInvariantError, OutOfRangeError)
-from rlslp.grammar import PAIR, POWER, TERMINAL, SymbolTable
+from rlslp.grammar import PAIR, POWER, TERMINAL, Grammar, SymbolTable
 from rlslp.ipm import ProxyText
 from rlslp.navigator import highest, leaf, leaves
 
@@ -32,6 +32,31 @@ def text_corpus(count: int, max_len: int, seed: int = 0):
     for i in range(count):
         sigma = ALPHABETS[i % len(ALPHABETS)]
         yield random_text(rng, max_len, sigma), seed * 10_000 + i
+
+
+def parity_build(text, seed):
+    """A recompression grammar of ``text`` whose pair rounds take as left
+    the symbols of even first-occurrence rank instead of drawing coins, and
+    the number of its pair rounds whose merges differ from the coin's.  The
+    first two symbols of a run-free string have ranks 0 and 1 and merge, so
+    every pair round shortens the string."""
+    letters = list(dict.fromkeys(text))
+    cols, _ = terminal_columns(letters)
+    cur = LevelString(0, [letters.index(ch) for ch in text])
+    differ = 0
+    while len(cur.symbols) > 1:
+        if cur.level % 2 == 0:
+            cur = shrink_rle(cur, *cols)
+            continue
+        left = set(list(dict.fromkeys(cur.symbols))[0::2])
+        adjacent = set(zip(cur.symbols, cur.symbols[1:]))
+        coin = draw_partition(cur, seed)
+        differ += ({(a, b) for a, b in adjacent if a in left and b not in left} !=
+                   {(a, b) for a, b in adjacent if a in coin and b not in coin})
+        cur = shrink_pc(cur, left, *cols)
+    table = SymbolTable.from_columns(*cols, len(text))
+    return Grammar(table=table, start=cur.symbols[0], rounds=cur.level, seed=seed,
+                   text_len=len(text)), differ
 
 
 def random_ipm_pair(rng: random.Random, n: int) -> tuple[int, int, int, int]:
@@ -226,6 +251,62 @@ def ref_lce(nav, i, i2, forward):
     return total
 
 
+# Reference descents: ``leaf``, ``leaves`` and ``highest`` with no descent
+# frontier, every walk from the root at two steps per level.  The frontier
+# descents must return equal cursors.
+
+def _ref_child(nav, pos, s, j):
+    """``(pos, sym)`` of the child over text position ``j`` of the node at
+    ``pos`` with symbol ``s``, which holds it; two steps."""
+    t = nav.g.table
+    nav.steps += 2
+    b = t.arg0[s]
+    if t.level[s] & 1:  # a power
+        return pos + (j - pos) // t.explen[b] * t.explen[b], b
+    if j >= pos + t.explen[b]:  # a pair whose right child holds j
+        return pos + t.explen[b], t.arg1[s]
+    return pos, b
+
+
+def _ref_down(nav, v, j, k):
+    """Level-``k`` cursor over text position ``j`` below ``v``, which holds it."""
+    while nav.g.table.level[v[1]] > k:
+        v = (*_ref_child(nav, v[0], v[1], j), v)
+    return v
+
+
+def _ref_descend(nav, j, lo, hi):
+    """Highest cursor on the path from the root to text position ``j`` whose
+    fragment lies inside [lo, hi)."""
+    ln = nav.g.table.explen
+    v = (0, nav.g.start, None)
+    while v[0] < lo or v[0] + ln[v[1]] > hi:
+        v = (*_ref_child(nav, v[0], v[1], j), v)
+    return v
+
+
+def ref_leaf(nav, j, k=0):
+    """Level-``k`` cursor over text position ``j``, descended from the root."""
+    return _ref_down(nav, (0, nav.g.start, None), j, k)
+
+
+def ref_leaves(nav, j, j2):
+    """Terminal cursors at ``j`` <= ``j2``, descended from the root together
+    to the deepest node holding both, then apart."""
+    if j == j2:
+        v = ref_leaf(nav, j)
+        return v, v
+    u = _ref_descend(nav, j, 0, j2)
+    return _ref_down(nav, u, j, 0), _ref_down(nav, u[2], j2, 0)
+
+
+def ref_highest(nav, i, forward):
+    """Highest cursor whose fragment starts (ends) at ``i``, descended from the root."""
+    if forward:
+        return _ref_descend(nav, i, i, nav.g.text_len)
+    return _ref_descend(nav, i - 1, 0, i)
+
+
 def ref_proxy_text(g, y, y2, pp, nav):
     """``ipm.proxy_text`` with its blocks walked by ``step`` and every
     expanded run trimmed on its own, on both sides.  The inline walk and its
@@ -374,6 +455,7 @@ def ref_from_columns(arg0, arg1, level, text_len):
         explen.append(e)
     table = SymbolTable.__new__(SymbolTable)
     table.arg0, table.arg1, table.level, table.explen = arg0, arg1, level, explen
+    table.frontiers = {}
     return table
 
 

@@ -319,13 +319,22 @@ def test_stats(tmp_path, capsys):
     assert "rounds: 0" in out and "symbols: 1" in out and "terminals: 1" in out
     assert "format_version: 2" in out
     assert f"index_bytes_per_char: {path.stat().st_size:.3f}" in out
-    # the counts by kind, each the parity of levels
+    assert out.splitlines()[-1] == "descent_frontier: 1 nodes, 1 chars"  # the root
+    # the counts by kind, each the parity of levels; B = 1 below 512
+    # characters, so the frontier is m i ss i ss i pp i
     path = _build_index(tmp_path, "mississippi")
     capsys.readouterr()
     assert main(["stats", "--index", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "rounds: 18", "symbols: 12", "text_len: 11", "terminals: 4", "pairs: 5", "powers: 3",
-        "seed: 0", "format_version: 2", "index_bytes_per_char: 16.909"]
+        "seed: 0", "format_version: 2", "index_bytes_per_char: 16.909",
+        "descent_frontier: 8 nodes, 1 chars"]
+    # B = n >> 8 from 512 characters on: the frontier of the start symbol
+    path = _build_index(tmp_path, random_text(random.Random(5), 2048, 4, min_len=2048))
+    capsys.readouterr()
+    assert main(["stats", "--index", str(path)]) == 0
+    tops = rlslp.Navigator(load_index(str(path))).frontier[2]
+    assert capsys.readouterr().out.splitlines()[-1] == f"descent_frontier: {len(tops)} nodes, 8 chars"
 
 
 def test_stats_bad_file(tmp_path, capsys):
@@ -655,7 +664,9 @@ def test_loaded_table_is_lean(tmp_path):
     t = loaded.table
     assert len(t) == len(g.table)
     assert held <= 110 * len(t), f"{held / len(t):.1f} bytes per symbol"
-    assert SymbolTable.__slots__ == ("arg0", "arg1", "level", "explen")
+    # the four columns and the descent-frontier cache, empty until a query
+    assert SymbolTable.__slots__ == ("arg0", "arg1", "level", "explen", "frontiers")
+    assert t.frontiers == {}
     # the query loops index these columns; a list reads faster than an array
     for name in ("arg0", "arg1", "level", "explen"):
         col = getattr(t, name)

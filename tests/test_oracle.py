@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from rlslp.builder import LevelString, build, draw_partition, shrink_pc, shrink_rle
+from rlslp.builder import build
 from rlslp.errors import OutOfRangeError
-from rlslp.grammar import Grammar, SymbolTable
 from rlslp.ipm import ipm_query, proxy_pattern
 from rlslp.oracle import naive_lce, naive_occ, naive_pseq_levels, naive_rev_lce, naive_rle_match
 from rlslp.popped import pseq
 
-from helpers import random_ipm_pair, terminal_columns, text_corpus
+from helpers import parity_build, random_ipm_pair, text_corpus
 
 
 def test_naive_occ_hand_cases():
@@ -69,31 +68,6 @@ def test_oracle_refuses_big_texts():
         naive_pseq_levels(g, 0, 600)
 
 
-def _parity_build(text, seed):
-    """A recompression grammar of ``text`` whose pair rounds take as left
-    the symbols of even first-occurrence rank instead of drawing coins, and
-    the number of its pair rounds whose merges differ from the coin's.  The
-    first two symbols of a run-free string have ranks 0 and 1 and merge, so
-    every pair round shortens the string."""
-    letters = list(dict.fromkeys(text))
-    cols, _ = terminal_columns(letters)
-    cur = LevelString(0, [letters.index(ch) for ch in text])
-    differ = 0
-    while len(cur.symbols) > 1:
-        if cur.level % 2 == 0:
-            cur = shrink_rle(cur, *cols)
-            continue
-        left = set(list(dict.fromkeys(cur.symbols))[0::2])
-        adjacent = set(zip(cur.symbols, cur.symbols[1:]))
-        coin = draw_partition(cur, seed)
-        differ += ({(a, b) for a, b in adjacent if a in left and b not in left} !=
-                   {(a, b) for a, b in adjacent if a in coin and b not in coin})
-        cur = shrink_pc(cur, left, *cols)
-    table = SymbolTable.from_columns(*cols, len(text))
-    return Grammar(table=table, start=cur.symbols[0], rounds=cur.level, seed=seed,
-                   text_len=len(text)), differ
-
-
 def test_oracle_runs_on_grammars_built_without_the_coin():
     # the oracle reads each round's merge sets off the table, so it needs
     # no coin to replay: on grammars whose pair rounds merged by another
@@ -102,7 +76,7 @@ def test_oracle_runs_on_grammars_built_without_the_coin():
     rng = random.Random(2023)
     differ = frags = 0
     for text, seed in text_corpus(150, 96, seed=23):
-        g, d = _parity_build(text, seed)
+        g, d = parity_build(text, seed)
         differ += d
         n = len(text)
         assert g.expand(g.start) == text
